@@ -12,7 +12,6 @@ GOFMT ?= gofmt
 # bit-identity check).
 RACE_PKGS = ./internal/threadpool/... \
             ./internal/likelihood/... \
-            ./internal/repeats/... \
             ./internal/search/... \
             ./internal/decentral/... \
             ./internal/forkjoin/... \
@@ -29,7 +28,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test race bench bench-json bench-service smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test perfbench-test race bench bench-json bench-e2e bench-service smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -50,6 +49,12 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench-test runs the end-to-end benchmark's own unit tests; it is a
+# separate Go module (perfbench/go.mod), so `go test ./...` above does
+# not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -57,18 +62,24 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-json runs the kernel-threading, CLV-layout, fused-batching,
-# fast-path (tip-specialized, P-matrix-cache, and site-repeat
-# ablations), hybrid-grid, batched-gradient, and wire-framing
-# benchmarks and writes BENCH_kernels.json (environment block plus
+# fast-path (tip-specialized and P-matrix-cache ablations), hybrid-grid,
+# batched-gradient, and wire-framing benchmarks and writes BENCH_kernels.json (environment block plus
 # name, ns/op, flops/s, roofline bytes/s + arithmetic intensity,
 # speedups) for trend tracking. GOMAXPROCS is set on the test binaries
 # so KernelThreadsGamma measures real thread speedups; benchjson
 # records the per-row gomaxprocs metric and fails loudly when a
 # T-thread row was captured with fewer procs than min(T, CPUs).
 bench-json:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelLayoutGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkKernelRepeatsGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
+	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelLayoutGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
 	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
+
+# bench-e2e runs the whole-inference benchmark (perfbench/README.md):
+# the Fig-3, Fig-4 and Table-I workloads end to end, with the
+# correctness gate against perfbench/reference.json. Performance claims
+# are decided by this benchmark, not by the kernel micro-benchmarks.
+bench-e2e:
+	bash perfbench/run.sh --workload all
 
 # smoke-net runs a real multi-process decentralized inference over
 # loopback TCP (docs/NETWORKING.md): simulate a tiny dataset, then
@@ -84,7 +95,7 @@ smoke-net:
 	echo "smoke-net: 4-process loopback run OK"
 
 # smoke-gradient is the batched-gradient determinism drill over a real
-# wire (docs/DETERMINISM.md §7): the same 2-process loopback inference
+# wire (docs/DETERMINISM.md §6): the same 2-process loopback inference
 # run twice, default batched smoother vs -no-batched-gradients oracle,
 # must write byte-identical best trees.
 smoke-gradient:
@@ -99,7 +110,7 @@ smoke-gradient:
 	echo "smoke-gradient: batched vs oracle best trees byte-identical OK"
 
 # smoke-layout is the CLV-layout determinism drill over a real wire
-# (docs/DETERMINISM.md §8): the same 2-process loopback inference run
+# (docs/DETERMINISM.md §7): the same 2-process loopback inference run
 # twice, default SoA layout + fused batching vs the -no-soa
 # -batch-sites 0 ablation, must write byte-identical best trees.
 smoke-layout:
@@ -174,7 +185,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test perfbench-test race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

@@ -219,11 +219,6 @@ func benchKernel(b *testing.B, het model.Heterogeneity) (*likelihood.Kernel, *tr
 
 func benchKernelSized(b *testing.B, het model.Heterogeneity, nSites int) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
 	b.Helper()
-	return benchKernelDup(b, het, nSites, false)
-}
-
-func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy bool) (*likelihood.Kernel, *tree.Tree, []likelihood.Step) {
-	b.Helper()
 	res, err := seqgen.Generate(seqgen.Config{
 		NTaxa: 32,
 		Specs: []seqgen.Spec{{Name: "g", NSites: nSites, Alpha: 0.8}},
@@ -231,9 +226,6 @@ func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy 
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if dupHeavy {
-		seqgen.AddCladeRepeats(res, 0.95, 11)
 	}
 	ds, err := msa.Compress(res.Alignment, res.Partitions)
 	if err != nil {
@@ -244,14 +236,7 @@ func benchKernelDup(b *testing.B, het model.Heterogeneity, nSites int, dupHeavy 
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The duplicate-heavy workload evaluates the true tree (the clades
-	// whose columns repeat are its clades — the regime of a search that
-	// has converged near the right topology); the others score a random
-	// topology.
-	tr := res.Tree
-	if !dupHeavy {
-		tr = tree.NewRandom(ds.Names, 1, rand.New(rand.NewSource(3)))
-	}
+	tr := tree.NewRandom(ds.Names, 1, rand.New(rand.NewSource(3)))
 	k, err := likelihood.NewKernel(pd, par, tr.NInner())
 	if err != nil {
 		b.Fatal(err)
@@ -370,7 +355,7 @@ func BenchmarkKernelThreadsGamma(b *testing.B) {
 // touches, which is what lets the compiler (and the hardware
 // prefetcher) stream the kernel; the AoS row is the baseline and the
 // SoA row reports its speedup. Both layouts produce bit-identical CLVs
-// (docs/DETERMINISM.md §8).
+// (docs/DETERMINISM.md §7).
 func BenchmarkKernelLayoutGamma(b *testing.B) {
 	var aosNs float64
 	for _, soa := range []bool{false, true} {
@@ -410,7 +395,7 @@ func BenchmarkKernelLayoutGamma(b *testing.B) {
 // pool dispatch per partition per operation; the batched row detaches
 // every partition from the pool and dispatches them all as items of a
 // single pool call, so the synchronization cost is paid once. Results
-// are bit-identical (docs/DETERMINISM.md §8); each batched row reports
+// are bit-identical (docs/DETERMINISM.md §7); each batched row reports
 // its speedup over the paired unbatched baseline. The win is
 // dispatch-overhead elimination, so it shows even at GOMAXPROCS=1; the
 // PSR rows show it strongest, because the PSR derivative does a quarter
@@ -541,63 +526,6 @@ func BenchmarkKernelFastPathGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelRepeatsGamma measures subtree site-repeat compression
-// (docs/PERFORMANCE.md) against the plain Γ kernels on two alignments:
-// duplicate-heavy, where AddCladeRepeats injects the clade-level column
-// redundancy real conserved genes show (most inner CLV columns become
-// byte copies of an already computed class representative), and
-// tip-heavy i.i.d. columns, where few subtree patterns repeat and the
-// per-node density gate falls back to the plain path (so that row
-// documents that the class-tracking overhead is negligible, not a
-// speedup). The duplicate-heavy shape runs under both CLV layouts
-// because the two mechanisms trade off (docs/PERFORMANCE.md §6):
-// repeat compression's win is proportional to the per-column compute
-// it skips, and the SoA layout makes that compute cheaper while its
-// strided columns make the duplicate copy dearer — so the aos rows
-// show the compression headroom and the soa rows the default-config
-// truth. All modes produce bit-identical CLVs; repeats=on rows report
-// speedup over the paired repeats=off row plus the fraction of CLV
-// columns served by copy.
-func BenchmarkKernelRepeatsGamma(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		dup  bool
-		lay  likelihood.Layout
-	}{
-		{"duplicate-heavy/soa", true, likelihood.LayoutSoA},
-		{"duplicate-heavy/aos", true, likelihood.LayoutAoS},
-		{"tip-heavy/soa", false, likelihood.LayoutSoA},
-	} {
-		var offNs float64
-		for _, on := range []bool{false, true} {
-			mode := "repeats=off"
-			if on {
-				mode = "repeats=on"
-			}
-			b.Run(w.name+"/"+mode, func(b *testing.B) {
-				k, _, steps := benchKernelDup(b, model.Gamma, 1200, w.dup)
-				k.SetLayout(w.lay)
-				k.SetRepeats(on)
-				k.Traverse(steps) // warm: store the per-node class tables
-				b.ResetTimer()
-				for b.Loop() {
-					k.Traverse(steps)
-				}
-				nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if !on {
-					offNs = nsPerOp
-				} else if offNs > 0 && nsPerOp > 0 {
-					b.ReportMetric(offNs/nsPerOp, "speedup")
-				}
-				if st := k.RepeatStats(); on && st.ColsComputed+st.ColsSaved > 0 {
-					b.ReportMetric(float64(st.ColsSaved)/float64(st.ColsComputed+st.ColsSaved), "cols_saved_frac")
-				}
-				b.ReportMetric(float64(k.NPatterns()*len(steps)), "columns/op")
-			})
-		}
-	}
-}
-
 // BenchmarkKernelPCacheGamma measures the P-matrix cache on a small
 // partition (where per-call P(t) setup is a visible fraction of kernel
 // time, the regime the paper's MPS distribution targets). Every
@@ -670,7 +598,7 @@ func BenchmarkHybridGrid(b *testing.B) {
 // real loopback TCP — one mpinet endpoint per rank, so every
 // branch-length collective is a socket round trip, the transport
 // regime the batching targets. Both rows produce bit-identical results
-// (docs/DETERMINISM.md §7); the batched row reports its wall-clock
+// (docs/DETERMINISM.md §6); the batched row reports its wall-clock
 // speedup over the oracle row plus the metered branch-length Allreduce
 // count of each, which drops from one per branch per Newton iteration
 // to one per iteration of a sweep.

@@ -109,23 +109,18 @@ func TestBootstrapWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestBootstrapLegacySeeding pins the pre-orchestrator behavior behind
-// the LegacySeeding flag: sequential resample draws from one generator
-// (cfg.Seed^0x0b00f5) and replicate search seeds cfg.Seed+r+1. The
-// oracle below *is* that old algorithm; the flag must reproduce it, and
-// the default path must differ from it (different seeding scheme).
-func TestBootstrapLegacySeeding(t *testing.T) {
+// TestBootstrapSplittableSeeding pins that replicate seeds are split
+// per task rather than drawn in sequence. The oracle below is the
+// sequential scheme the orchestrator replaced: resample draws from one
+// generator (cfg.Seed^0x0b00f5) and replicate search seeds cfg.Seed+r+1.
+// The default path must produce a different replicate sequence.
+func TestBootstrapSplittableSeeding(t *testing.T) {
 	d, err := Simulate(8, 2, 200, 73)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Ranks: 1, MaxIterations: 2, Seed: 17}
 	const B = 3
-
-	legacy, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b00f5))
 	var oracle []string
@@ -142,24 +137,13 @@ func TestBootstrapLegacySeeding(t *testing.T) {
 		}
 		oracle = append(oracle, res.Tree)
 	}
-	if !reflect.DeepEqual(legacy.ReplicateTrees, oracle) {
-		t.Fatalf("legacy path diverged from the sequential oracle:\n%v\n%v", legacy.ReplicateTrees, oracle)
-	}
 
 	modern, err := Bootstrap(d, cfg, B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(modern.ReplicateTrees, legacy.ReplicateTrees) {
-		t.Fatal("splittable seeding produced the legacy replicate sequence — seeds are not actually split")
-	}
-
-	// Legacy is sequential-only.
-	if _, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true, Workers: 2}); err == nil {
-		t.Error("legacy seeding accepted a worker pool")
-	}
-	if _, err := BootstrapWithOptions(d, cfg, B, BootstrapOptions{LegacySeeding: true, AutoStop: true}); err == nil {
-		t.Error("legacy seeding accepted autostop")
+	if reflect.DeepEqual(modern.ReplicateTrees, oracle) {
+		t.Fatal("splittable seeding produced the sequential replicate sequence — seeds are not actually split")
 	}
 }
 

@@ -296,20 +296,12 @@ type Config struct {
 	// calls it exactly once per iteration. Observational only — it must
 	// not mutate search state.
 	OnProgress func(iteration int, lnL float64)
-	// DisableRepeats turns off subtree site-repeat compression in the
-	// likelihood kernels (docs/PERFORMANCE.md). Ablation switch only:
-	// results are bit-identical with compression on or off.
-	DisableRepeats bool
-	// RepeatsMaxMem caps the per-rank memory (bytes) the repeat class
-	// tables may occupy; 0 means unbounded. Nodes whose table would
-	// exceed the cap fall back to plain per-site computation.
-	RepeatsMaxMem int64
 	// DisableBatchedGradients turns off the batched all-branch gradient
 	// path in branch-length smoothing and falls back to the per-branch
 	// Newton oracle. Ablation switch only: final trees and likelihoods
 	// are byte-identical either way, but the batched path pays one wide
 	// Allreduce per smoothing sweep where the oracle pays one narrow
-	// Allreduce per branch per Newton iteration (docs/DETERMINISM.md §7,
+	// Allreduce per branch per Newton iteration (docs/DETERMINISM.md §6,
 	// docs/PERFORMANCE.md).
 	DisableBatchedGradients bool
 	// DisableSoA switches the likelihood kernels from the default SoA
@@ -529,8 +521,6 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 			HybridRanksPerNode: cfg.HybridRanksPerNode,
 			Threads:            cfg.Threads,
 			Telemetry:          collector,
-			DisableRepeats:     cfg.DisableRepeats,
-			RepeatsMaxMem:      cfg.RepeatsMaxMem,
 			DisableSoA:         cfg.DisableSoA,
 			BatchSites:         cfg.BatchSites,
 		})
@@ -547,15 +537,13 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 	case ForkJoin:
 		var stats *forkjoin.RunStats
 		res, stats, err = forkjoin.Run(d.d, forkjoin.RunConfig{
-			Search:         scfg,
-			Ranks:          cfg.Ranks,
-			Strategy:       strategy,
-			Threads:        cfg.Threads,
-			Telemetry:      collector,
-			DisableRepeats: cfg.DisableRepeats,
-			RepeatsMaxMem:  cfg.RepeatsMaxMem,
-			DisableSoA:     cfg.DisableSoA,
-			BatchSites:     cfg.BatchSites,
+			Search:     scfg,
+			Ranks:      cfg.Ranks,
+			Strategy:   strategy,
+			Threads:    cfg.Threads,
+			Telemetry:  collector,
+			DisableSoA: cfg.DisableSoA,
+			BatchSites: cfg.BatchSites,
 		})
 		if err == nil {
 			comm, wall, wallDur = stats.Comm, stats.Wall.Seconds(), stats.Wall

@@ -12,10 +12,10 @@ import (
 )
 
 // TestEngineSteadyStateAllocFree pins the allocation-free hot path: once
-// warm (P-matrix cache populated, scratch arenas grown, repeat tables
-// stored), the engine's Evaluate / PrepareBranch / BranchDerivatives
-// cycle — the inner loop of every branch-length and model optimization —
-// must not allocate at all on a single serial rank. Threaded pools and
+// warm (P-matrix cache populated, scratch arenas grown), the engine's
+// Evaluate / PrepareBranch / BranchDerivatives cycle — the inner loop of
+// every branch-length and model optimization — must not allocate at all
+// on a single serial rank. Threaded pools and
 // multi-rank messaging allocate by design (goroutine scheduling, channel
 // payload copies), so the contract is pinned where it matters most: the
 // per-call kernel and engine layers.
@@ -67,8 +67,7 @@ func testSteadyStateAllocFree(t *testing.T, het model.Heterogeneity, ecfg Engine
 	plan, _ := traversal.BuildGradient(tr, nil)
 
 	// Warm-up: populate the P-matrix cache at the exact branch
-	// lengths the measured loop uses, grow every scratch arena, and
-	// store the repeat class tables.
+	// lengths the measured loop uses and grow every scratch arena.
 	for i := 0; i < 2; i++ {
 		eng.Evaluate(desc)
 		eng.PrepareBranch(desc)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestBatchedGradientAblationBitIdentical is the de-centralized half of
-// the batched-gradient determinism contract (docs/DETERMINISM.md §7): a
+// the batched-gradient determinism contract (docs/DETERMINISM.md §6): a
 // full inference with the batched all-branch gradient smoother (the
 // default) must reproduce the per-branch oracle run bit-for-bit, for
 // both rate models and serial and threaded kernels — while spending

@@ -1,7 +1,6 @@
 package decentral
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -10,28 +9,6 @@ import (
 	"repro/internal/mpinet"
 	"repro/internal/search"
 )
-
-// requireIdenticalRuns asserts two finished searches are bit-identical:
-// same likelihood bits, same per-partition breakdown, same topology,
-// same iteration count.
-func requireIdenticalRuns(t *testing.T, label string, got, want *search.Result) {
-	t.Helper()
-	if math.Float64bits(got.LnL) != math.Float64bits(want.LnL) {
-		t.Errorf("%s: lnL %.17g not bit-identical to forced-full %.17g", label, got.LnL, want.LnL)
-	}
-	if got.Tree.Newick() != want.Tree.Newick() {
-		t.Errorf("%s: topology differs from forced-full run", label)
-	}
-	if got.Iterations != want.Iterations {
-		t.Errorf("%s: %d iterations vs forced-full %d", label, got.Iterations, want.Iterations)
-	}
-	for i := range want.PerPartitionLnL {
-		if math.Float64bits(got.PerPartitionLnL[i]) != math.Float64bits(want.PerPartitionLnL[i]) {
-			t.Errorf("%s: partition %d lnL differs: %.17g vs %.17g",
-				label, i, got.PerPartitionLnL[i], want.PerPartitionLnL[i])
-		}
-	}
-}
 
 // TestIncrementalMatchesForcedFull is the incremental-traversal
 // determinism contract (docs/PERFORMANCE.md): the default dirty-overlay
@@ -57,7 +34,7 @@ func TestIncrementalMatchesForcedFull(t *testing.T) {
 				t.Fatalf("%v T=%d incremental: %v", het, threads, err)
 			}
 			label := het.String()
-			requireIdenticalRuns(t, label, inc, forced)
+			requireIdentical(t, label+" vs forced-full", inc, forced)
 			if iStats.TotalColumns >= fStats.TotalColumns {
 				t.Errorf("%s T=%d: incremental scheduled %d columns, forced %d — no work was reused",
 					label, threads, iStats.TotalColumns, fStats.TotalColumns)
@@ -106,6 +83,6 @@ func TestIncrementalMatchesForcedFullTCP(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
-		requireIdenticalRuns(t, "tcp", results[r], forced)
+		requireIdentical(t, "tcp vs forced-full", results[r], forced)
 	}
 }

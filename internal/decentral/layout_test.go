@@ -11,7 +11,7 @@ import (
 )
 
 // TestLayoutAblationBitIdentical is the de-centralized half of the CLV
-// layout determinism contract (docs/DETERMINISM.md §8): a full
+// layout determinism contract (docs/DETERMINISM.md §7): a full
 // inference on the default SoA layout with fused small-partition
 // batching (this dataset's partitions sit below the threshold) must
 // reproduce the AoS, batching-disabled run bit-for-bit, for both rate

@@ -25,6 +25,30 @@ func makeDataset(t testing.TB, nTaxa, nParts, geneLen int, seed int64) *msa.Data
 	return d
 }
 
+// requireIdentical asserts two full search results agree bit-for-bit:
+// final likelihood, per-partition breakdown, topology, and iteration
+// count.
+func requireIdentical(t *testing.T, label string, got, want *search.Result) {
+	t.Helper()
+	if math.Float64bits(got.LnL) != math.Float64bits(want.LnL) {
+		t.Errorf("%s: lnL %.17g not bit-identical to %.17g", label, got.LnL, want.LnL)
+	}
+	if len(got.PerPartitionLnL) != len(want.PerPartitionLnL) {
+		t.Fatalf("%s: per-partition length mismatch", label)
+	}
+	for p := range want.PerPartitionLnL {
+		if math.Float64bits(got.PerPartitionLnL[p]) != math.Float64bits(want.PerPartitionLnL[p]) {
+			t.Errorf("%s: partition %d lnL not bit-identical", label, p)
+		}
+	}
+	if got.Tree.Newick() != want.Tree.Newick() {
+		t.Errorf("%s: topology differs", label)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("%s: %d iterations vs %d", label, got.Iterations, want.Iterations)
+	}
+}
+
 func TestRunSequentialGamma(t *testing.T) {
 	d := makeDataset(t, 8, 2, 60, 1)
 	res, stats, err := Run(d, RunConfig{

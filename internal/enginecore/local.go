@@ -120,17 +120,6 @@ func NewLocal(d *msa.Dataset, a *distrib.Assignment, rank int, het model.Heterog
 // Threads reports the rank's intra-rank concurrency.
 func (l *Local) Threads() int { return l.pool.Threads() }
 
-// SetRepeats configures subtree site-repeat compression on every local
-// kernel: on toggles the compressed paths (bit-identical either way),
-// maxMem bounds the bytes of stored class tables per kernel (<= 0 is
-// unbounded). See docs/PERFORMANCE.md.
-func (l *Local) SetRepeats(on bool, maxMem int64) {
-	for _, k := range l.Kernels {
-		k.SetRepeats(on)
-		k.SetRepeatsMaxMem(maxMem)
-	}
-}
-
 // SetRecorder attaches the rank's telemetry recorder: every subsequent
 // kernel operation is timed into per-class spans, and the worker pool
 // (when present) starts counting block utilization. A nil recorder
@@ -167,13 +156,6 @@ func (l *Local) Close() {
 			fp.PCacheMisses += s.PCacheMisses
 		}
 		l.rec.SetKernelPerf(fp.FastOps(), fp.GenericOps(), fp.PCacheHits, fp.PCacheMisses)
-		var repComputed, repSaved int64
-		for _, k := range l.Kernels {
-			rs := k.RepeatStats()
-			repComputed += rs.ColsComputed
-			repSaved += rs.ColsSaved
-		}
-		l.rec.SetRepeatStats(repComputed, repSaved)
 		l.rec.SetBatchStats(l.batchDispatches, l.batchKernels)
 		l.rec = nil
 	}

@@ -59,14 +59,6 @@ type EngineConfig struct {
 	// (kernel and collective timing; docs/OBSERVABILITY.md). It never
 	// affects results.
 	Recorder *telemetry.Recorder
-	// DisableRepeats turns off subtree site-repeat compression in the
-	// likelihood kernels (docs/PERFORMANCE.md). Ablation only: results
-	// are bit-identical either way.
-	DisableRepeats bool
-	// RepeatsMaxMem caps the per-rank memory (bytes) of the repeat class
-	// tables; 0 means unbounded. Nodes whose table would exceed the cap
-	// fall back to plain computation.
-	RepeatsMaxMem int64
 	// DisableSoA switches the likelihood kernels from the default SoA
 	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
 	// §6). Ablation only: results are bit-identical either way.
@@ -112,7 +104,6 @@ func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.SetRepeats(!cfg.DisableRepeats, cfg.RepeatsMaxMem)
 	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	return &Engine{comm: comm, local: local}, nil
@@ -121,7 +112,7 @@ func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 // SetLayout switches the MASTER's kernels between the SoA (true) and
 // AoS (false) CLV layouts mid-run. Workers keep their configured
 // layout — there is deliberately no layout opcode in the command
-// protocol, because the layout contract (docs/DETERMINISM.md §8)
+// protocol, because the layout contract (docs/DETERMINISM.md §7)
 // guarantees master and workers produce identical bits even when their
 // layouts differ; a mid-run master toggle therefore exercises exactly
 // that heterogeneous-layout property.
@@ -454,7 +445,6 @@ func RunWorkerWithStats(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, c
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.SetRepeats(!cfg.DisableRepeats, cfg.RepeatsMaxMem)
 	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()

@@ -27,9 +27,6 @@ type RunConfig struct {
 	// kernel/collective span timing and search-progress counters
 	// (docs/OBSERVABILITY.md). nil disables instrumentation entirely.
 	Telemetry *telemetry.Collector
-	// DisableRepeats and RepeatsMaxMem mirror EngineConfig.
-	DisableRepeats bool
-	RepeatsMaxMem  int64
 	// DisableSoA and BatchSites mirror EngineConfig.
 	DisableSoA bool
 	BatchSites int
@@ -69,8 +66,6 @@ func Run(d *msa.Dataset, cfg RunConfig) (*search.Result, *RunStats, error) {
 		Subst:                cfg.Search.Subst,
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
 		Threads:              cfg.Threads,
-		DisableRepeats:       cfg.DisableRepeats,
-		RepeatsMaxMem:        cfg.RepeatsMaxMem,
 		DisableSoA:           cfg.DisableSoA,
 		BatchSites:           cfg.BatchSites,
 	}

@@ -27,39 +27,7 @@ func (k *Kernel) newviewGamma(dst int32, a, b NodeRef, ta, tb float64) {
 	ra := &k.ra
 	ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb = dclv, dscale, oa, ob, pa, pb
 	ra.parts = k.blocks()
-	tipTip := oa.tips != nil && ob.tips != nil
-	if cls, reps, n, ok := k.newviewClasses(dst, a, b, oa, ob, tipTip); ok {
-		// Compressed path (repeats.go): one column per repeat class,
-		// computed by the plain path's own block workers one
-		// representative site at a time, then byte-copied to the
-		// duplicates.
-		ra.cls, ra.reps = cls, reps
-		ra.tabA, ra.tabB = nil, nil
-		if k.fastOn && (oa.tips != nil || ob.tips != nil) {
-			k.fp.NewviewTipInner++
-			if oa.tips != nil {
-				ra.tabA = k.tipTabScratch(0, gammaCats)
-				k.fillTipTable(ra.tabA, pa)
-			}
-			if ob.tips != nil {
-				ra.tabB = k.tipTabScratch(1, gammaCats)
-				k.fillTipTable(ra.tabB, pb)
-			}
-			ra.op, ra.overReps = opNvGammaTipInner, true
-		} else {
-			k.fp.NewviewInner++
-			ra.op, ra.overReps = opNvGammaInner, true
-		}
-		k.runBlocks(n)
-		ra.op, ra.overReps, ra.colLen = opNvCopyReps, false, gammaCats*ns
-		k.runBlocks(k.nPat)
-		k.flops.Newview += int64(n) * gammaCats
-		k.reps.Stats.NewviewOps++
-		k.reps.Stats.ColsComputed += int64(n)
-		k.reps.Stats.ColsSaved += int64(k.nPat - n)
-		return
-	}
-	if k.fastOn && tipTip {
+	if k.fastOn && oa.tips != nil && ob.tips != nil {
 		k.fp.NewviewTipTip++
 		tabA := k.tipTabScratch(0, gammaCats)
 		k.fillTipTable(tabA, pa)
@@ -67,7 +35,7 @@ func (k *Kernel) newviewGamma(dst int32, a, b NodeRef, ta, tb float64) {
 		k.fillTipTable(tabB, pb)
 		ra.pair = k.pairTabScratch(gammaCats)
 		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats)
-		ra.op, ra.overReps = opNvGammaTipTip, false
+		ra.op = opNvGammaTipTip
 	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
 		k.fp.NewviewTipInner++
 		ra.tabA, ra.tabB = nil, nil
@@ -79,10 +47,10 @@ func (k *Kernel) newviewGamma(dst int32, a, b NodeRef, ta, tb float64) {
 			ra.tabB = k.tipTabScratch(1, gammaCats)
 			k.fillTipTable(ra.tabB, pb)
 		}
-		ra.op, ra.overReps = opNvGammaTipInner, false
+		ra.op = opNvGammaTipInner
 	} else {
 		k.fp.NewviewInner++
-		ra.op, ra.overReps = opNvGammaInner, false
+		ra.op = opNvGammaInner
 	}
 	k.runBlocks(k.nPat)
 	k.flops.Newview += joinCols(ra.parts)
@@ -244,21 +212,14 @@ func (k *Kernel) evaluateGamma(p, q NodeRef, t float64) float64 {
 	ra := &k.ra
 	ra.oa, ra.ob, ra.pa, ra.catW = op, oq, pm, catW
 	ra.parts = k.blocks()
-	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
-		// Compressed path: one site-lnl per repeat class at the class's
-		// representative site, then a per-site weighted sum (repeats.go).
-		total := k.evaluateRepeats(opEvalGammaLnlReps, cls, reps, n)
-		k.flops.Evaluate += int64(n) * gammaCats
-		return total
-	}
 	if k.fastOn && oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, gammaCats)
 		k.fillTipTable(ra.tabB, pm)
-		ra.op, ra.overReps = opEvalGammaTip, false
+		ra.op = opEvalGammaTip
 	} else {
 		k.fp.EvaluateGeneric++
-		ra.op, ra.overReps = opEvalGamma, false
+		ra.op = opEvalGamma
 	}
 	k.runBlocks(k.nPat)
 	total := 0.0
@@ -372,21 +333,6 @@ func (k *Kernel) prepareDerivativesGamma(p, q NodeRef) {
 		k.fp.PrepareGeneric++
 		ra.op = opPrepGamma
 	}
-	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
-		// Compressed path: fill the sum table only at the representative
-		// sites and remember the classes for derivativesGamma
-		// (repeats.go). Evaluate may run between Prepare and Derivatives
-		// and reuses the eval scratch, hence the cached copy.
-		k.cachePrepClasses(cls, reps, n)
-		ra.cls, ra.reps = k.prepCls, k.prepReps
-		ra.overReps = true
-		k.runBlocks(n)
-		k.prepared = true
-		k.flops.Derivative += int64(n) * gammaCats
-		return
-	}
-	k.prepRepeats = false
-	ra.overReps = false
 	k.runBlocks(k.nPat)
 	k.prepared = true
 	k.flops.Derivative += joinCols(ra.parts)
@@ -484,15 +430,7 @@ func (k *Kernel) derivativesGamma(t float64) (d1, d2 float64) {
 	ra := &k.ra
 	ra.exG, ra.lamG, ra.catW = ex, lam, catW
 	ra.parts = k.blocks()
-	if k.prepRepeats {
-		// Compressed path: per-class Newton terms at the representative
-		// sites cached by prepareDerivativesGamma, then a per-site
-		// weighted sum (repeats.go).
-		d1, d2 = k.derivativesRepeats(opDerivGammaTermsReps)
-		k.flops.Derivative += int64(k.prepN) * gammaCats
-		return d1, d2
-	}
-	ra.op, ra.overReps = opDerivGamma, false
+	ra.op = opDerivGamma
 	k.runBlocks(k.nPat)
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1

@@ -106,8 +106,7 @@ func (k *Kernel) InvalidateOuter() {
 // NewviewOuter executes one pre-order partial update. The combine is
 // the post-order Newview combine verbatim — same block workers, same
 // fast-path staging, same a·b operand order — writing into the outer
-// table instead of a CLV slot. The repeats overlay never applies: outer
-// vectors are not subtree-addressed, so no repeat class describes them.
+// table instead of a CLV slot.
 func (k *Kernel) NewviewOuter(s GradStep) {
 	if k.par.Het == model.Gamma {
 		k.newviewOuterGamma(s.Dst, s.A, s.B, s.TA, s.TB)
@@ -125,7 +124,7 @@ func (k *Kernel) TraverseOuter(steps []GradStep) {
 	}
 }
 
-// newviewOuterGamma mirrors newviewGamma's plain (non-repeats) staging.
+// newviewOuterGamma mirrors newviewGamma's staging.
 func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
 	pa := k.probMatricesFor(ta, 0)
 	pb := k.probMatricesFor(tb, 1)
@@ -143,7 +142,7 @@ func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
 		k.fillTipTable(tabB, pb)
 		ra.pair = k.pairTabScratch(gammaCats)
 		k.fillPairTable(ra.pair, &k.pairScaleScr, tabA, tabB, gammaCats)
-		ra.op, ra.overReps = opNvGammaTipTip, false
+		ra.op = opNvGammaTipTip
 	} else if k.fastOn && (oa.tips != nil || ob.tips != nil) {
 		k.fp.NewviewTipInner++
 		ra.tabA, ra.tabB = nil, nil
@@ -155,16 +154,16 @@ func (k *Kernel) newviewOuterGamma(dst int32, a, b GradRef, ta, tb float64) {
 			ra.tabB = k.tipTabScratch(1, gammaCats)
 			k.fillTipTable(ra.tabB, pb)
 		}
-		ra.op, ra.overReps = opNvGammaTipInner, false
+		ra.op = opNvGammaTipInner
 	} else {
 		k.fp.NewviewInner++
-		ra.op, ra.overReps = opNvGammaInner, false
+		ra.op = opNvGammaInner
 	}
 	k.runBlocks(k.nPat)
 	k.flops.Newview += joinCols(ra.parts)
 }
 
-// newviewOuterPSR mirrors newviewPSR's plain (non-repeats) staging.
+// newviewOuterPSR mirrors newviewPSR's staging.
 func (k *Kernel) newviewOuterPSR(dst int32, a, b GradRef, ta, tb float64) {
 	pa := k.probMatricesFor(ta, 0)
 	pb := k.probMatricesFor(tb, 1)
@@ -195,7 +194,6 @@ func (k *Kernel) newviewOuterPSR(dst int32, a, b GradRef, ta, tb float64) {
 		k.fp.NewviewInner++
 		ra.op = opNvPSRInner
 	}
-	ra.overReps = false
 	k.runBlocks(k.nPat)
 	k.flops.Newview += joinCols(ra.parts)
 }
@@ -251,7 +249,6 @@ func (k *Kernel) BranchGradientCached(b, nEdges int, p, q GradRef, t float64) (d
 func (k *Kernel) BranchGradientReuse(b int, t float64) (d1, d2 float64) {
 	saved := k.sumTab
 	k.sumTab = k.gradTabs[b]
-	k.prepRepeats = false
 	if k.par.Het == model.Gamma {
 		d1, d2 = k.derivativesGamma(t)
 	} else {
@@ -263,7 +260,7 @@ func (k *Kernel) BranchGradientReuse(b int, t float64) (d1, d2 float64) {
 }
 
 // branchGradientGamma stages the fused Γ gradient: the prepare side
-// mirrors prepareDerivativesGamma's plain path, the derivative side
+// mirrors prepareDerivativesGamma, the derivative side
 // derivativesGamma's, sharing one block sweep.
 func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
 	need := k.nPat * gammaCats * ns
@@ -301,8 +298,6 @@ func (k *Kernel) branchGradientGamma(p, q GradRef, t float64) (d1, d2 float64) {
 		}
 	}
 	ra.exG, ra.lamG, ra.catW = ex, lam, k.par.CatWeight()
-	ra.overReps = false
-	k.prepRepeats = false
 	k.runBlocks(k.nPat)
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1
@@ -349,8 +344,6 @@ func (k *Kernel) branchGradientPSR(p, q GradRef, t float64) (d1, d2 float64) {
 		}
 	}
 	ra.exP, ra.lamP = ex, lam
-	ra.overReps = false
-	k.prepRepeats = false
 	k.runBlocks(k.nPat)
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/msa"
-	"repro/internal/repeats"
 	"repro/internal/threadpool"
 )
 
@@ -142,27 +141,6 @@ type Kernel struct {
 	prepTabQ     []float64
 	fp           FastPathStats
 
-	// Site-repeat state (repeats.go + internal/repeats): repOn enables
-	// subtree repeat compression (default on, bit-identical either
-	// way); repMaxMem bounds the stored class tables; reps is created
-	// lazily. tipClsScr/evalCls/evalReps are conversion and edge-class
-	// scratch; prepCls/prepReps/prepN cache the classes of a sparse
-	// PrepareDerivatives (prepRepeats marks the sum table as sparse);
-	// clsVal/clsVal2/clsOK hold per-class phase-1 results.
-	repOn       bool
-	repMaxMem   int64
-	reps        *repeats.State
-	tipClsScr   [2][]int32
-	evalCls     []int32
-	evalReps    []int32
-	prepCls     []int32
-	prepReps    []int32
-	prepN       int
-	prepRepeats bool
-	clsVal      []float64
-	clsVal2     []float64
-	clsOK       []bool
-
 	// exGScr/lamGScr (Γ) and exPScr/lamPScr (PSR) are the derivative
 	// exponential tables — kernel fields so the staged run arguments
 	// never point into a stack frame (which would force a per-call
@@ -272,7 +250,6 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		layout: LayoutSoA,
 		fastOn: true,
 		pcOn:   true,
-		repOn:  true,
 	}
 	for s := msa.State(1); s <= 15; s++ {
 		k.tipVec[s] = s.TipVector()
@@ -320,9 +297,7 @@ func (k *Kernel) slot(i int32) ([]float64, []int32) {
 // InvalidateAll drops all CLVs (used after model changes that the caller
 // follows with a full traversal, and by fault-recovery redistribution).
 // The P-matrix cache is dropped too: InvalidateAll callers may mutate
-// parameters (site rates) without a Rebuild. Repeat class tables go with
-// the CLVs they describe — a site-rate reassignment changes the PSR tip
-// class codes.
+// parameters (site rates) without a Rebuild.
 func (k *Kernel) InvalidateAll() {
 	for i := range k.clv {
 		k.clv[i] = nil
@@ -330,11 +305,7 @@ func (k *Kernel) InvalidateAll() {
 	}
 	k.InvalidateOuter()
 	k.prepared = false
-	k.prepRepeats = false
 	k.pcache = nil
-	if k.reps != nil {
-		k.reps.Reset()
-	}
 }
 
 // probMatrices fills one P matrix per rate category for branch length t.

@@ -11,7 +11,7 @@ package likelihood
 // Newview/Evaluate/Prepare stream stride-1 over sites — the layout
 // BEAGLE's CPU kernels use, and the one auto-vectorizers want.
 //
-// Bit-identity contract (docs/DETERMINISM.md §8): the SoA workers in
+// Bit-identity contract (docs/DETERMINISM.md §7): the SoA workers in
 // soa_gamma.go / soa_psr.go compute every value with the *identical
 // expression* (same operands, same association order) as the AoS
 // workers in gamma.go / psr.go, and accumulate per-site and per-block
@@ -48,9 +48,8 @@ func (k *Kernel) Layout() Layout { return k.layout }
 // SetLayout switches the kernel's CLV storage order, transposing every
 // live CLV and outer vector in place. Transposition moves values
 // without touching them, so a mid-run switch is bit-identical to having
-// run in the target layout from the start; scale vectors, repeat class
-// tables, the P-matrix cache, and the (always-AoS) sum tables all
-// remain valid as-is.
+// run in the target layout from the start; scale vectors, the P-matrix
+// cache, and the (always-AoS) sum tables all remain valid as-is.
 func (k *Kernel) SetLayout(l Layout) {
 	if l == k.layout {
 		return
@@ -99,14 +98,9 @@ func (k *Kernel) transposeCLV(v []float64, toSoA bool) {
 
 // soaColGamma loads the (site i, category c) state column of a Γ CLV
 // stored in SoA order — the strided-gather counterpart of the AoS
-// 4-double contiguous read. Used by the per-site repeat mirrors and the
-// site-major SoA fallback workers; loads never change value bits.
+// 4-double contiguous read. Used by the site-major SoA fallback workers;
+// loads never change value bits.
 func soaColGamma(clv []float64, n, i, c int) [ns]float64 {
 	p := clv[(c*ns)*n:]
 	return [ns]float64{p[i], p[n+i], p[2*n+i], p[3*n+i]}
-}
-
-// soaColPSR loads site i's state column of a PSR CLV in SoA order.
-func soaColPSR(clv []float64, n, i int) [ns]float64 {
-	return [ns]float64{clv[i], clv[n+i], clv[2*n+i], clv[3*n+i]}
 }

@@ -9,16 +9,14 @@ import (
 )
 
 // layoutFixture rebuilds the deterministic threaded fixture in the given
-// CLV layout, with the fast paths and repeat compression toggled
-// together (so the SoA workers are exercised both with and without the
-// tip tables and the compressed representative path).
-func layoutFixture(t *testing.T, het model.Heterogeneity, threads int, l likelihood.Layout, fast, reps bool) (*fixture, *threadpool.Pool) {
+// CLV layout, with the fast paths toggled (so the SoA workers are
+// exercised both with and without the tip tables).
+func layoutFixture(t *testing.T, het model.Heterogeneity, threads int, l likelihood.Layout, fast bool) (*fixture, *threadpool.Pool) {
 	t.Helper()
 	f, pool := threadedFixture(t, het, threads)
 	f.kern.SetLayout(l)
 	f.kern.SetFastPath(fast)
 	f.kern.SetPCache(fast)
-	f.kern.SetRepeats(reps)
 	return f, pool
 }
 
@@ -40,45 +38,40 @@ func compareScalarTrace(t *testing.T, label string, got, want kernelTrace, gotRe
 }
 
 // TestLayoutBitIdentical is the SoA determinism contract
-// (docs/DETERMINISM.md §8): the default SoA layout must reproduce the
+// (docs/DETERMINISM.md §7): the default SoA layout must reproduce the
 // AoS ablation oracle bit-for-bit — log likelihood, both derivatives at
 // several branch lengths, and (after transposing back) every CLV byte —
 // for both rate models, serial and threaded kernels, and with the tip
-// fast paths and repeat compression both on and off.
+// fast paths both on and off.
 func TestLayoutBitIdentical(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, threads := range []int{0, 1, 4} {
 			for _, fast := range []bool{true, false} {
-				for _, reps := range []bool{true, false} {
-					label := het.String() + " soa"
-					if fast {
-						label += "+fast"
-					}
-					if reps {
-						label += "+reps"
-					}
-					aos, aosPool := layoutFixture(t, het, threads, likelihood.LayoutAoS, fast, reps)
-					want, wantRev := traceKernelFull(aos)
-					aosPool.Close()
-
-					f, pool := layoutFixture(t, het, threads, likelihood.LayoutSoA, fast, reps)
-					if f.kern.Layout() != likelihood.LayoutSoA {
-						t.Fatalf("%s: fixture not in SoA layout", label)
-					}
-					got, gotRev := traceKernelFull(f)
-					compareScalarTrace(t, label, got, want, gotRev, wantRev)
-
-					// Transpose the live CLVs back to AoS: every byte must
-					// match the oracle's storage exactly.
-					f.kern.SetLayout(likelihood.LayoutAoS)
-					for s := range want.digests {
-						if d := f.kern.CLVDigest(s); d != want.digests[s] {
-							t.Errorf("%s T=%d: CLV slot %d digest %x != oracle %x after transpose",
-								label, threads, s, d, want.digests[s])
-						}
-					}
-					pool.Close()
+				label := het.String() + " soa"
+				if fast {
+					label += "+fast"
 				}
+				aos, aosPool := layoutFixture(t, het, threads, likelihood.LayoutAoS, fast)
+				want, wantRev := traceKernelFull(aos)
+				aosPool.Close()
+
+				f, pool := layoutFixture(t, het, threads, likelihood.LayoutSoA, fast)
+				if f.kern.Layout() != likelihood.LayoutSoA {
+					t.Fatalf("%s: fixture not in SoA layout", label)
+				}
+				got, gotRev := traceKernelFull(f)
+				compareScalarTrace(t, label, got, want, gotRev, wantRev)
+
+				// Transpose the live CLVs back to AoS: every byte must
+				// match the oracle's storage exactly.
+				f.kern.SetLayout(likelihood.LayoutAoS)
+				for s := range want.digests {
+					if d := f.kern.CLVDigest(s); d != want.digests[s] {
+						t.Errorf("%s T=%d: CLV slot %d digest %x != oracle %x after transpose",
+							label, threads, s, d, want.digests[s])
+					}
+				}
+				pool.Close()
 			}
 		}
 	}
@@ -90,10 +83,10 @@ func TestLayoutBitIdentical(t *testing.T) {
 // the storage exactly.
 func TestSetLayoutMidStream(t *testing.T) {
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
-		aos, _ := layoutFixture(t, het, 0, likelihood.LayoutAoS, true, true)
+		aos, _ := layoutFixture(t, het, 0, likelihood.LayoutAoS, true)
 		want, wantRev := traceKernelFull(aos)
 
-		f, _ := layoutFixture(t, het, 0, likelihood.LayoutSoA, true, true)
+		f, _ := layoutFixture(t, het, 0, likelihood.LayoutSoA, true)
 		got, gotRev := traceKernelFull(f)
 		compareScalarTrace(t, het.String()+" phase soa", got, want, gotRev, wantRev)
 		soaDigest := f.kern.CLVDigest(0)

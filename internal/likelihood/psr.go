@@ -45,22 +45,6 @@ func (k *Kernel) newviewPSR(dst int32, a, b NodeRef, ta, tb float64) {
 		k.fp.NewviewInner++
 		ra.op = opNvPSRInner
 	}
-	// Unlike Γ, the PSR tip-tip fast path still computes per site (the
-	// per-site category forbids a pair table), so the compressed path
-	// applies to every operand shape; tipTip=false skips the Γ-only gate.
-	if cls, reps, n, ok := k.newviewClasses(dst, a, b, oa, ob, false); ok {
-		ra.cls, ra.reps = cls, reps
-		ra.overReps = true
-		k.runBlocks(n)
-		ra.op, ra.overReps, ra.colLen = opNvCopyReps, false, ns
-		k.runBlocks(k.nPat)
-		k.flops.Newview += int64(n)
-		k.reps.Stats.NewviewOps++
-		k.reps.Stats.ColsComputed += int64(n)
-		k.reps.Stats.ColsSaved += int64(k.nPat - n)
-		return
-	}
-	ra.overReps = false
 	k.runBlocks(k.nPat)
 	k.flops.Newview += joinCols(ra.parts)
 }
@@ -173,19 +157,14 @@ func (k *Kernel) evaluatePSR(p, q NodeRef, t float64) float64 {
 	ra := &k.ra
 	ra.oa, ra.ob, ra.pa = op, oq, pm
 	ra.parts = k.blocks()
-	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
-		total := k.evaluateRepeats(opEvalPSRLnlReps, cls, reps, n)
-		k.flops.Evaluate += int64(n)
-		return total
-	}
 	if k.fastOn && oq.tips != nil {
 		k.fp.EvaluateTip++
 		ra.tabB = k.tipTabScratch(1, len(k.par.CatRates))
 		k.fillTipTable(ra.tabB, pm)
-		ra.op, ra.overReps = opEvalPSRTip, false
+		ra.op = opEvalPSRTip
 	} else {
 		k.fp.EvaluateGeneric++
-		ra.op, ra.overReps = opEvalPSR, false
+		ra.op = opEvalPSR
 	}
 	k.runBlocks(k.nPat)
 	total := 0.0
@@ -286,17 +265,6 @@ func (k *Kernel) prepareDerivativesPSR(p, q NodeRef) {
 		k.fp.PrepareGeneric++
 		ra.op = opPrepPSR
 	}
-	if cls, reps, n, ok := k.evalClasses(p, q, op, oq); ok {
-		k.cachePrepClasses(cls, reps, n)
-		ra.cls, ra.reps = k.prepCls, k.prepReps
-		ra.overReps = true
-		k.runBlocks(n)
-		k.prepared = true
-		k.flops.Derivative += int64(n)
-		return
-	}
-	k.prepRepeats = false
-	ra.overReps = false
 	k.runBlocks(k.nPat)
 	k.prepared = true
 	k.flops.Derivative += joinCols(ra.parts)
@@ -381,12 +349,7 @@ func (k *Kernel) derivativesPSR(t float64) (d1, d2 float64) {
 	ra := &k.ra
 	ra.exP, ra.lamP = ex, lam
 	ra.parts = k.blocks()
-	if k.prepRepeats {
-		d1, d2 = k.derivativesRepeats(opDerivPSRTermsReps)
-		k.flops.Derivative += int64(k.prepN)
-		return d1, d2
-	}
-	ra.op, ra.overReps = opDerivPSR, false
+	ra.op = opDerivPSR
 	k.runBlocks(k.nPat)
 	for b := range ra.parts {
 		d1 += ra.parts[b].d1

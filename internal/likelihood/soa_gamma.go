@@ -13,7 +13,7 @@ import (
 // with the P-matrix row hoisted into scalars — the autovectorizable
 // shape of BEAGLE's CPU kernels.
 //
-// Bit-identity (docs/DETERMINISM.md §8): every value is computed by the
+// Bit-identity (docs/DETERMINISM.md §7): every value is computed by the
 // IDENTICAL expression (operands and association order) as its AoS
 // twin, per-site accumulators are added in the identical (category,
 // state) order via a per-site accumulator array, and the scaling
@@ -466,4 +466,44 @@ func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, 
 			}
 		}
 	}
+}
+
+// evaluateGammaSiteLnl mirrors one site of evaluateGammaBlock, reading
+// each operand in its own layout.
+func (k *Kernel) evaluateGammaSiteLnl(op, oq operand, pm [][ns * ns]float64, catW float64, i int) float64 {
+	freqs := &k.par.Freqs
+	site := 0.0
+	base := i * gammaCats * ns
+	for c := 0; c < gammaCats; c++ {
+		pc := &pm[c]
+		var vp, vq [ns]float64
+		if op.tips != nil {
+			vp = k.tipVec[op.tips[i]]
+		} else if k.layout == LayoutSoA {
+			vp = soaColGamma(op.clv, k.nPat, i, c)
+		} else {
+			off := base + c*ns
+			vp[0], vp[1], vp[2], vp[3] = op.clv[off], op.clv[off+1], op.clv[off+2], op.clv[off+3]
+		}
+		if oq.tips != nil {
+			vq = k.tipVec[oq.tips[i]]
+		} else if k.layout == LayoutSoA {
+			vq = soaColGamma(oq.clv, k.nPat, i, c)
+		} else {
+			off := base + c*ns
+			vq[0], vq[1], vq[2], vq[3] = oq.clv[off], oq.clv[off+1], oq.clv[off+2], oq.clv[off+3]
+		}
+		for x := 0; x < ns; x++ {
+			right := pc[x*ns]*vq[0] + pc[x*ns+1]*vq[1] + pc[x*ns+2]*vq[2] + pc[x*ns+3]*vq[3]
+			site += freqs[x] * vp[x] * right * catW
+		}
+	}
+	var sc int32
+	if op.scale != nil {
+		sc += op.scale[i]
+	}
+	if oq.scale != nil {
+		sc += oq.scale[i]
+	}
+	return math.Log(site) + float64(sc)*LogScaleStep
 }

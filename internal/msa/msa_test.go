@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -330,6 +331,53 @@ func TestPhylipErrors(t *testing.T) {
 			t.Errorf("ParsePhylip(%q) succeeded", s)
 		}
 	}
+}
+
+// TestPhylipHugeHeaderCounts: a header may declare any counts, so the
+// parser must not allocate by them. Each input below declares terabytes
+// of data in a few bytes; all must fail with an error.
+func TestPhylipHugeHeaderCounts(t *testing.T) {
+	for _, s := range []string{
+		"7027027027027\r2",
+		"7027027027027 2\naa AC\nbb AC\ncc AC\n",
+		"3 7027027027027\naa ACGT\nbb ACGT\ncc ACGT\n",
+	} {
+		if _, err := ParsePhylip(strings.NewReader(s)); err == nil {
+			t.Errorf("ParsePhylip(%q) succeeded", s)
+		}
+	}
+}
+
+// FuzzParsePhylip checks that no input crashes the parser and that
+// every accepted alignment survives a WritePhylip round trip unchanged.
+// Crashers found by fuzzing live in testdata/fuzz/FuzzParsePhylip and
+// are replayed by plain `go test`.
+func FuzzParsePhylip(f *testing.F) {
+	f.Add("3 4\naa ACGT\nbb AC-T\ncc ACGN\n")
+	f.Add("3 12\nalpha ACGTAC\nbeta  CCGTAC\ngamma GGGTAC\n\nGTACGT\nGTACGT\nGTACGT\n")
+	f.Add("3 8\naa ACGT\nbb ACGT\ncc ACGT\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		a, err := ParsePhylip(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WritePhylip(&buf, a); err != nil {
+			t.Fatalf("parsed alignment does not write: %v", err)
+		}
+		back, err := ParsePhylip(&buf)
+		if err != nil {
+			t.Fatalf("written alignment does not parse: %v", err)
+		}
+		if !slices.Equal(back.Names, a.Names) {
+			t.Fatalf("names changed: %q -> %q", a.Names, back.Names)
+		}
+		for i := range a.Seqs {
+			if !slices.Equal(back.Seqs[i], a.Seqs[i]) {
+				t.Fatalf("taxon %q sequence changed", a.Names[i])
+			}
+		}
+	})
 }
 
 func TestBinaryRoundTrip(t *testing.T) {

@@ -31,10 +31,10 @@ func ParsePhylip(r io.Reader) (*Alignment, error) {
 		return nil, fmt.Errorf("msa: PHYLIP header declares %d taxa × %d sites", nTaxa, nSites)
 	}
 
-	a := &Alignment{
-		Names: make([]string, 0, nTaxa),
-		Seqs:  make([][]State, 0, nTaxa),
-	}
+	// The header's counts are untrusted: nothing is preallocated by
+	// them, so a short input declaring a huge alignment fails on its
+	// missing rows instead of exhausting memory up front.
+	a := &Alignment{}
 	// First pass block: every taxon introduced by name.
 	for len(a.Names) < nTaxa {
 		if !sc.Scan() {
@@ -46,9 +46,8 @@ func ParsePhylip(r io.Reader) (*Alignment, error) {
 		}
 		fields := strings.Fields(line)
 		name := fields[0]
-		seq := make([]State, 0, nSites)
-		var err error
-		if seq, err = appendStates(seq, strings.Join(fields[1:], "")); err != nil {
+		seq, err := appendStates(make([]State, 0, len(line)), strings.Join(fields[1:], ""))
+		if err != nil {
 			return nil, fmt.Errorf("msa: taxon %q: %v", name, err)
 		}
 		a.Names = append(a.Names, name)

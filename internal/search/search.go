@@ -65,7 +65,7 @@ type Config struct {
 	// batched all-branch gradient (one pre-order traversal + one fused
 	// kernel + ONE wide collective per iteration). Ablation only: final
 	// trees and likelihoods are byte-identical either way
-	// (DETERMINISM.md §7); the batched path just issues strictly fewer
+	// (DETERMINISM.md §6); the batched path just issues strictly fewer
 	// collectives.
 	DisableBatchedGradients bool
 	// Restore resumes from a checkpoint: the tree, parameters, and
@@ -493,14 +493,14 @@ func quantizeBL(t float64) float64 {
 
 // SetBatchedGradients toggles the batched all-branch gradient smoother
 // at runtime (on = batched, off = per-branch oracle). Both paths produce
-// byte-identical results (DETERMINISM.md §7); the toggle exists for
+// byte-identical results (DETERMINISM.md §6); the toggle exists for
 // ablation and the bit-identity tests, and is safe mid-search: every
 // sweep's first iteration rebuilds the full pre-order state.
 func (s *Searcher) SetBatchedGradients(on bool) { s.cfg.DisableBatchedGradients = !on }
 
 // Engine exposes the searcher's engine for runtime reconfiguration by
 // OnIteration hooks (e.g. the mid-run CLV-layout toggle of the layout
-// bit-identity suites — DETERMINISM.md §8). Callers type-assert the
+// bit-identity suites — DETERMINISM.md §7). Callers type-assert the
 // optional capabilities they need; the Engine interface itself stays
 // minimal.
 func (s *Searcher) Engine() Engine { return s.eng }
@@ -716,7 +716,7 @@ func newtonStep(d1, d2, t float64, lo, hi *float64) float64 {
 // the batched kernel's exactly; and because branch updates are
 // independent given the frozen CLV state (lengths are only written
 // after the sweep), the per-branch Newton sequences are bit-identical
-// to the batched loop's (DETERMINISM.md §7, asserted by tests).
+// to the batched loop's (DETERMINISM.md §6, asserted by tests).
 func (s *Searcher) oracleSweep(nodes []*tree.Node, ts, lo, hi []float64, done []bool) {
 	classes := s.Tree.BLClasses
 	nB := len(nodes)

@@ -37,9 +37,10 @@ type RankStats struct {
 	GenericOps   int64 `json:"generic_ops,omitempty"`
 	PCacheHits   int64 `json:"pcache_hits,omitempty"`
 	PCacheMisses int64 `json:"pcache_misses,omitempty"`
-	// RepeatColsComputed/RepeatColsSaved are the rank's site-repeat
-	// compression counters: CLV pattern columns computed at
-	// representative sites vs materialized by copy (docs/PERFORMANCE.md).
+	// Deprecated: RepeatColsComputed and RepeatColsSaved are always
+	// zero. The kernels no longer compress subtree site repeats
+	// (docs/PERFORMANCE.md §4); the fields remain only so existing
+	// readers of RankStats keep compiling.
 	RepeatColsComputed int64 `json:"repeat_cols_computed,omitempty"`
 	RepeatColsSaved    int64 `json:"repeat_cols_saved,omitempty"`
 	// BatchDispatches/BatchKernels are the rank's fused small-partition
@@ -123,10 +124,6 @@ type Report struct {
 	// PCacheHitRate is P-matrix cache hits over lookups, summed across
 	// ranks (0 when the cache saw no lookups).
 	PCacheHitRate float64 `json:"pcache_hit_rate"`
-	// RepeatShare is the fraction of compressed-Newview CLV columns
-	// materialized by copy rather than computed, summed across ranks
-	// (0 when the compressed path never ran).
-	RepeatShare float64 `json:"repeat_share"`
 	// BatchFusion is the mean number of small-partition kernels fused
 	// into one pool dispatch, summed across ranks (0 when batching never
 	// fired). Values well above 1 mean the fused path is amortizing pool
@@ -156,7 +153,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	var sumCompute, sumComm, maxCompute int64
 	var poolRuns, poolBlocks int64
 	var fastOps, genericOps, pcHits, pcMiss int64
-	var repComputed, repSaved int64
 	var batchDisp, batchKern int64
 	poolThreads := 0
 	for _, r := range c.recs {
@@ -176,9 +172,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 			PCacheHits:    r.pcacheHits,
 			PCacheMisses:  r.pcacheMiss,
 
-			RepeatColsComputed: r.repColsComputed,
-			RepeatColsSaved:    r.repColsSaved,
-
 			BatchDispatches: r.batchDispatches,
 			BatchKernels:    r.batchKernels,
 		}
@@ -197,8 +190,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 		genericOps += r.genericOps
 		pcHits += r.pcacheHits
 		pcMiss += r.pcacheMiss
-		repComputed += r.repColsComputed
-		repSaved += r.repColsSaved
 		batchDisp += r.batchDispatches
 		batchKern += r.batchKernels
 	}
@@ -207,9 +198,6 @@ func (c *Collector) Finalize(wall time.Duration, threads int, classNames []strin
 	}
 	if tot := pcHits + pcMiss; tot > 0 {
 		rep.PCacheHitRate = float64(pcHits) / float64(tot)
-	}
-	if tot := repComputed + repSaved; tot > 0 {
-		rep.RepeatShare = float64(repSaved) / float64(tot)
 	}
 	if batchDisp > 0 {
 		rep.BatchFusion = float64(batchKern) / float64(batchDisp)
@@ -327,9 +315,6 @@ func (r *Report) String() string {
 	}
 	if r.PCacheHitRate > 0 {
 		fmt.Fprintf(&b, "  P-matrix cache hit rate                %8.3f\n", r.PCacheHitRate)
-	}
-	if r.RepeatShare > 0 {
-		fmt.Fprintf(&b, "  site-repeat CLV columns saved          %8.3f\n", r.RepeatShare)
 	}
 	if r.BatchFusion > 0 {
 		fmt.Fprintf(&b, "  kernels fused per batched dispatch     %8.3f\n", r.BatchFusion)

@@ -290,11 +290,6 @@ type Recorder struct {
 	fastOps, genericOps    int64
 	pcacheHits, pcacheMiss int64
 
-	// Site-repeat counters (harvested once at engine close): CLV pattern
-	// columns computed at representative sites vs materialized by copy
-	// on the compressed Newview path (docs/PERFORMANCE.md).
-	repColsComputed, repColsSaved int64
-
 	// Fused-batch counters (harvested once at engine close): pool
 	// dispatches that fused multiple small-partition kernels and how many
 	// kernel invocations those dispatches carried (docs/PERFORMANCE.md §6).
@@ -410,21 +405,6 @@ func (r *Recorder) SetKernelPerf(fastOps, genericOps, pcacheHits, pcacheMiss int
 	if c := r.col; c != nil {
 		c.emitLine("{\"ev\":\"perf\",\"rank\":%d,\"fast_ops\":%d,\"generic_ops\":%d,\"pcache_hits\":%d,\"pcache_misses\":%d%s}",
 			r.rank, fastOps, genericOps, pcacheHits, pcacheMiss, c.jobFrag)
-	}
-}
-
-// SetRepeatStats records the rank's site-repeat compression counters
-// (harvested once, when the rank's engine closes) and emits a "repeats"
-// JSONL event carrying them.
-func (r *Recorder) SetRepeatStats(colsComputed, colsSaved int64) {
-	if r == nil {
-		return
-	}
-	r.repColsComputed = colsComputed
-	r.repColsSaved = colsSaved
-	if c := r.col; c != nil {
-		c.emitLine("{\"ev\":\"repeats\",\"rank\":%d,\"cols_computed\":%d,\"cols_saved\":%d%s}",
-			r.rank, colsComputed, colsSaved, c.jobFrag)
 	}
 }
 
