@@ -28,7 +28,7 @@ RACE_PKGS = ./internal/threadpool/... \
 # machine unless the caller asks otherwise.
 BENCH_GOMAXPROCS ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-.PHONY: all fmt vet build test perfbench-test race bench bench-json bench-e2e bench-service smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun ci clean
+.PHONY: all fmt vet build test perfbench-test race bench bench-json bench-e2e bench-service smoke-net smoke-gradient smoke-batch smoke-service smoke-trace smoke-phyrun ci clean
 
 all: ci
 
@@ -61,7 +61,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the kernel-threading, CLV-layout, fused-batching,
+# bench-json runs the kernel-threading, fused-batching,
 # fast-path (tip-specialized and P-matrix-cache ablations), hybrid-grid,
 # batched-gradient, and wire-framing benchmarks and writes BENCH_kernels.json (environment block plus
 # name, ns/op, flops/s, roofline bytes/s + arithmetic intensity,
@@ -70,7 +70,7 @@ bench:
 # records the per-row gomaxprocs metric and fails loudly when a
 # T-thread row was captured with fewer procs than min(T, CPUs).
 bench-json:
-	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelLayoutGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
+	{ GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkKernelThreadsGamma|BenchmarkKernelBatch$$|BenchmarkKernelFastPathGamma|BenchmarkKernelPCacheGamma|BenchmarkHybridGrid|BenchmarkAllBranchGradient' . ; \
 	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run '^$$' -bench 'BenchmarkFrameEncodeDecode' ./internal/mpinet ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
 
@@ -109,20 +109,20 @@ smoke-gradient:
 	cmp $$tmp/batched.bestTree.nwk $$tmp/oracle.bestTree.nwk && \
 	echo "smoke-gradient: batched vs oracle best trees byte-identical OK"
 
-# smoke-layout is the CLV-layout determinism drill over a real wire
+# smoke-batch is the fused-batching determinism drill over a real wire
 # (docs/DETERMINISM.md §7): the same 2-process loopback inference run
-# twice, default SoA layout + fused batching vs the -no-soa
-# -batch-sites 0 ablation, must write byte-identical best trees.
-smoke-layout:
+# twice, default fused batching vs the -batch-sites 0 ablation, must
+# write byte-identical best trees.
+smoke-batch:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/ ./cmd/examl ./cmd/seqgen && \
 	$$tmp/seqgen -taxa 10 -partitions 2 -genelen 60 -seed 33 -o $$tmp/tiny && \
 	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -n $$tmp/soa && \
+		-iter 3 -n $$tmp/batched && \
 	$$tmp/examl -s $$tmp/tiny.phy -q $$tmp/tiny.parts.txt -np 2 -net-launch \
-		-iter 3 -no-soa -batch-sites 0 -n $$tmp/aos && \
-	cmp $$tmp/soa.bestTree.nwk $$tmp/aos.bestTree.nwk && \
-	echo "smoke-layout: SoA+batched vs AoS+unbatched best trees byte-identical OK"
+		-iter 3 -batch-sites 0 -n $$tmp/unbatched && \
+	cmp $$tmp/batched.bestTree.nwk $$tmp/unbatched.bestTree.nwk && \
+	echo "smoke-batch: batched vs unbatched best trees byte-identical OK"
 
 # smoke-service runs the inference-service acceptance drill
 # (docs/SERVICE.md): start the daemon machinery with a warm loopback
@@ -185,7 +185,7 @@ smoke-phyrun:
 	done && \
 	echo "smoke-phyrun: kill-and-resume campaign bit-identical OK"
 
-ci: fmt vet build test perfbench-test race smoke-net smoke-gradient smoke-layout smoke-service smoke-trace smoke-phyrun
+ci: fmt vet build test perfbench-test race smoke-net smoke-gradient smoke-batch smoke-service smoke-trace smoke-phyrun
 
 clean:
 	$(GO) clean ./...

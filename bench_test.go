@@ -349,41 +349,6 @@ func BenchmarkKernelThreadsGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelLayoutGamma measures the SoA (default) CLV layout
-// against the AoS ablation (-no-soa) on the serial Γ traversal. The SoA
-// planes make the innermost loop stride-1 over sites in every array it
-// touches, which is what lets the compiler (and the hardware
-// prefetcher) stream the kernel; the AoS row is the baseline and the
-// SoA row reports its speedup. Both layouts produce bit-identical CLVs
-// (docs/DETERMINISM.md §7).
-func BenchmarkKernelLayoutGamma(b *testing.B) {
-	var aosNs float64
-	for _, soa := range []bool{false, true} {
-		mode := "aos"
-		lay := likelihood.LayoutAoS
-		if soa {
-			mode, lay = "soa", likelihood.LayoutSoA
-		}
-		b.Run(mode, func(b *testing.B) {
-			k, _, steps := benchKernel(b, model.Gamma)
-			k.SetLayout(lay)
-			b.ResetTimer()
-			for b.Loop() {
-				k.Traverse(steps)
-			}
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if !soa {
-				aosNs = nsPerOp
-			} else if aosNs > 0 && nsPerOp > 0 {
-				b.ReportMetric(aosNs/nsPerOp, "speedup")
-			}
-			cols := k.NPatterns() * len(steps)
-			b.ReportMetric(float64(cols*gammaFlopsPerColumn), "flops/op")
-			b.ReportMetric(float64(cols*gammaBytesPerColumn), "bytes/op")
-		})
-	}
-}
-
 // BenchmarkKernelBatch measures fused small-partition batching
 // (docs/PERFORMANCE.md §6) on its target workload: many partitions,
 // each small enough to fuse (the batched row runs with a raised

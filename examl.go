@@ -304,10 +304,6 @@ type Config struct {
 	// Allreduce per branch per Newton iteration (docs/DETERMINISM.md §6,
 	// docs/PERFORMANCE.md).
 	DisableBatchedGradients bool
-	// DisableSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
-	// §6). Ablation switch only: results are bit-identical either way.
-	DisableSoA bool
 	// BatchSites sets the fused small-partition batching threshold in
 	// patterns (kernels below it share one pool dispatch per likelihood
 	// operation). 0 keeps the default (enginecore.DefaultBatchSites);
@@ -521,7 +517,6 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 			HybridRanksPerNode: cfg.HybridRanksPerNode,
 			Threads:            cfg.Threads,
 			Telemetry:          collector,
-			DisableSoA:         cfg.DisableSoA,
 			BatchSites:         cfg.BatchSites,
 		})
 		if err == nil {
@@ -542,7 +537,6 @@ func Infer(d *Dataset, cfg Config) (*Result, error) {
 			Strategy:   strategy,
 			Threads:    cfg.Threads,
 			Telemetry:  collector,
-			DisableSoA: cfg.DisableSoA,
 			BatchSites: cfg.BatchSites,
 		})
 		if err == nil {

@@ -155,9 +155,21 @@ func writeBody(w io.Writer, s *State) error {
 	return nil
 }
 
-// readBody parses the versioned payload.
-func readBody(r io.Reader) (*State, error) {
+// readBody parses the versioned payload. Header counts never size an
+// allocation: slices grow as their entries are read. When the body's
+// size is known (v2), avail reports the unread byte count and a count
+// the rest of the body cannot hold is rejected before any entry is
+// read; a v1 stream passes nil and fails at EOF instead.
+func readBody(r io.Reader, avail func() int) (*State, error) {
 	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
+	// fits rejects n entries of at least minBytes each when the body
+	// has fewer bytes left.
+	fits := func(what string, n uint32, minBytes uint64) error {
+		if avail != nil && uint64(n)*minBytes > uint64(avail()) {
+			return fmt.Errorf("checkpoint: %d %s cannot fit in the %d remaining body bytes", n, what, avail())
+		}
+		return nil
+	}
 	rdU32 := func() (uint32, error) {
 		var v uint32
 		err := rd(&v)
@@ -196,11 +208,15 @@ func readBody(r io.Reader) (*State, error) {
 	if nTaxa < 3 || nTaxa > 1<<24 {
 		return nil, fmt.Errorf("checkpoint: implausible taxon count %d", nTaxa)
 	}
-	s.Taxa = make([]string, nTaxa)
-	for i := range s.Taxa {
-		if s.Taxa[i], err = rdString(); err != nil {
+	if err := fits("taxa", nTaxa, 4); err != nil {
+		return nil, err
+	}
+	for i := 0; i < int(nTaxa); i++ {
+		name, err := rdString()
+		if err != nil {
 			return nil, err
 		}
+		s.Taxa = append(s.Taxa, name)
 	}
 	cls, err := rdU32()
 	if err != nil {
@@ -217,20 +233,25 @@ func readBody(r io.Reader) (*State, error) {
 	if int(nEdges) != 2*int(nTaxa)-3 {
 		return nil, fmt.Errorf("checkpoint: %d edges for %d taxa", nEdges, nTaxa)
 	}
-	s.Edges = make([]EdgeRecord, nEdges)
-	for i := range s.Edges {
-		if err := rd(&s.Edges[i].A); err != nil {
+	if err := fits("edges", nEdges, 8+8*uint64(cls)); err != nil {
+		return nil, err
+	}
+	for i := 0; i < int(nEdges); i++ {
+		var e EdgeRecord
+		if err := rd(&e.A); err != nil {
 			return nil, err
 		}
-		if err := rd(&s.Edges[i].B); err != nil {
+		if err := rd(&e.B); err != nil {
 			return nil, err
 		}
-		s.Edges[i].Lengths = make([]float64, cls)
-		for c := range s.Edges[i].Lengths {
-			if err := rd(&s.Edges[i].Lengths[c]); err != nil {
+		for c := 0; c < int(cls); c++ {
+			var l float64
+			if err := rd(&l); err != nil {
 				return nil, err
 			}
+			e.Lengths = append(e.Lengths, l)
 		}
+		s.Edges = append(s.Edges, e)
 	}
 	nShared, err := rdU32()
 	if err != nil {
@@ -239,8 +260,10 @@ func readBody(r io.Reader) (*State, error) {
 	if nShared > 1<<20 {
 		return nil, fmt.Errorf("checkpoint: implausible partition count %d", nShared)
 	}
-	s.Shared = make([][]float64, nShared)
-	for i := range s.Shared {
+	if err := fits("partitions", nShared, 4); err != nil {
+		return nil, err
+	}
+	for i := 0; i < int(nShared); i++ {
 		rowLen, err := rdU32()
 		if err != nil {
 			return nil, err
@@ -248,12 +271,15 @@ func readBody(r io.Reader) (*State, error) {
 		if rowLen > 1<<10 {
 			return nil, fmt.Errorf("checkpoint: implausible row length %d", rowLen)
 		}
-		s.Shared[i] = make([]float64, rowLen)
-		for j := range s.Shared[i] {
-			if err := rd(&s.Shared[i][j]); err != nil {
+		var row []float64
+		for j := 0; j < int(rowLen); j++ {
+			var v float64
+			if err := rd(&v); err != nil {
 				return nil, err
 			}
+			row = append(row, v)
 		}
+		s.Shared = append(s.Shared, row)
 	}
 	return s, nil
 }
@@ -333,10 +359,14 @@ func readV2(br *bufio.Reader) (*State, error) {
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("checkpoint: implausible body length %d", bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	n, err := io.ReadFull(br, body)
+	// Read through a limit rather than into a bodyLen buffer, so a
+	// short file cannot make the header size the allocation.
+	body, err := io.ReadAll(io.LimitReader(br, int64(bodyLen)))
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated: header declares %d body bytes, file has %d (interrupted write?)", bodyLen, n)
+		return nil, fmt.Errorf("checkpoint: reading body: %w", err)
+	}
+	if len(body) < int(bodyLen) {
+		return nil, fmt.Errorf("checkpoint: truncated: header declares %d body bytes, file has %d (interrupted write?)", bodyLen, len(body))
 	}
 	if extra, _ := br.Peek(1); len(extra) != 0 {
 		return nil, fmt.Errorf("checkpoint: trailing garbage after %d-byte body", bodyLen)
@@ -345,7 +375,7 @@ func readV2(br *bufio.Reader) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch (have %08x, want %08x): corrupt or stale file", got, want)
 	}
 	rd := bytes.NewReader(body)
-	s, err := readBody(rd)
+	s, err := readBody(rd, rd.Len)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +389,7 @@ func readV2(br *bufio.Reader) (*State, error) {
 // body. Kept so pre-v2 seed checkpoints remain restorable.
 func readV1(br *bufio.Reader) (*State, error) {
 	crc := crc32.NewIEEE()
-	s, err := readBody(io.TeeReader(br, crc))
+	s, err := readBody(io.TeeReader(br, crc), nil)
 	if err != nil {
 		return nil, err
 	}

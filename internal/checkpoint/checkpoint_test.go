@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func taxa(n int) []string {
 	return out
 }
 
-func sampleState(t *testing.T, nTaxa, classes int) (*State, *tree.Tree) {
+func sampleState(t testing.TB, nTaxa, classes int) (*State, *tree.Tree) {
 	t.Helper()
 	tr := tree.NewRandom(taxa(nTaxa), classes, rand.New(rand.NewSource(int64(nTaxa))))
 	for i, e := range tr.Edges() {
@@ -208,4 +209,91 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if back.Iteration != s.Iteration || back.LnL != s.LnL || len(back.Edges) != len(s.Edges) {
 		t.Fatalf("Encode/Decode round trip changed state: %+v", back)
 	}
+}
+
+// v2Frame wraps body in a valid v2 header (length and CRC).
+func v2Frame(body []byte) []byte {
+	out := []byte(stateMagic)
+	out = binary.LittleEndian.AppendUint32(out, stateVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// TestDecodeHugeHeaderCounts feeds Decode short checkpoints whose counts
+// claim far more data than they hold. Each must fail without allocating
+// by the claimed counts (a 36-byte v2 file declaring 2^24 taxa used to
+// allocate 256 MB before failing at EOF).
+func TestDecodeHugeHeaderCounts(t *testing.T) {
+	prefix := binary.LittleEndian.AppendUint64(nil, 7)
+	prefix = binary.LittleEndian.AppendUint64(prefix, 0)
+	taxa := binary.LittleEndian.AppendUint32(append([]byte(nil), prefix...), 1<<24)
+	edges := append([]byte(nil), prefix...)
+	edges = binary.LittleEndian.AppendUint32(edges, 3)
+	for i := 0; i < 3; i++ {
+		edges = binary.LittleEndian.AppendUint32(edges, 0)
+	}
+	edges = binary.LittleEndian.AppendUint32(edges, 1<<20) // classes
+	edges = binary.LittleEndian.AppendUint32(edges, 3)     // 2·3−3 edges
+	v1 := append([]byte(stateMagic), 1, 0, 0, 0)
+	hugeBody := append([]byte(stateMagic), 2, 0, 0, 0)
+	hugeBody = binary.LittleEndian.AppendUint32(hugeBody, maxBodyLen)
+	hugeBody = binary.LittleEndian.AppendUint32(hugeBody, 0)
+	for name, data := range map[string][]byte{
+		"v2-taxa":   v2Frame(taxa),
+		"v2-edges":  v2Frame(edges),
+		"v1-taxa":   append(v1, taxa...),
+		"v1-edges":  append(append([]byte(nil), v1...), edges...),
+		"body-size": hugeBody,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte checkpoint accepted", name, len(data))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: %d-byte checkpoint allocated %d bytes", name, len(data), alloc)
+		}
+	}
+	if n := len(v2Frame(taxa)); n != 36 {
+		t.Errorf("v2-taxa input is %d bytes, want the 36-byte reproducer", n)
+	}
+}
+
+// FuzzDecode checks that no input crashes or exhausts the checkpoint
+// decoder and that every accepted state re-encodes stably. Crashers
+// found by fuzzing live in testdata/fuzz/FuzzDecode and are replayed by
+// plain `go test`.
+func FuzzDecode(f *testing.F) {
+	for _, dims := range [][2]int{{8, 1}, {9, 2}, {12, 3}} {
+		s, _ := sampleState(f, dims[0], dims[1])
+		blob, err := Encode(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		first, err := Encode(s)
+		if err != nil {
+			t.Fatalf("decoded state does not encode: %v", err)
+		}
+		back, err := Decode(first)
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		second, err := Encode(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatal("state changed across an encode/decode round trip")
+		}
+	})
 }

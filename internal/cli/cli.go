@@ -32,10 +32,6 @@ type Args struct {
 	// Allreduce per branch per Newton iteration instead of one per
 	// sweep — docs/DETERMINISM.md §6).
 	NoBatchedGradients bool
-	// NoSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (ablation; results
-	// are bit-identical — docs/DETERMINISM.md §7).
-	NoSoA bool
 	// BatchSites is the fused small-partition batching threshold in
 	// patterns; 0 disables batching (ablation; results are
 	// bit-identical — docs/PERFORMANCE.md §6).
@@ -101,7 +97,6 @@ func Register(a *Args) {
 	flag.BoolVar(&a.NetLaunch, "net-launch", false, "fork the whole world as local worker processes over loopback TCP and wait")
 	flag.IntVar(&a.NetRecoveries, "net-recoveries", 1, "network mode: survivor-recovery budget after peer failures (decentralized scheme; 0 = a lost peer fails the run)")
 	flag.BoolVar(&a.NoBatchedGradients, "no-batched-gradients", false, "disable the batched all-branch gradient kernel in branch smoothing (ablation; results are bit-identical, strictly more collectives)")
-	flag.BoolVar(&a.NoSoA, "no-soa", false, "use the AoS CLV layout instead of the default SoA layout in the likelihood kernels (ablation; results are bit-identical)")
 	flag.IntVar(&a.BatchSites, "batch-sites", examl.DefaultBatchSites, "fuse partitions with fewer patterns than this into one pool dispatch per likelihood op (0 = disable; results are bit-identical)")
 	flag.BoolVar(&a.Stats, "stats", false, "print the end-of-run telemetry report (kernel spans, collective timing, load imbalance)")
 	flag.StringVar(&a.StatsJSON, "stats-json", "", "write the telemetry report as JSON to this file")
@@ -276,7 +271,6 @@ func inferConfig(a Args) (examl.Config, error) {
 		RestorePath:               a.Restore,
 		Telemetry:                 a.telemetryRequested(),
 		DisableBatchedGradients:   a.NoBatchedGradients,
-		DisableSoA:                a.NoSoA,
 		BatchSites:                batchSitesConfig(a.BatchSites),
 	}, nil
 }

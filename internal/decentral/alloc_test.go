@@ -24,11 +24,11 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		name string
 		cfg  EngineConfig
 	}{
-		// The default path is the SoA layout with fused batching (both
-		// 60-pattern partitions sit below DefaultBatchSites), so the
-		// 0-alloc contract covers the staged batch dispatch too.
+		// The default path fuses batching (both 60-pattern partitions
+		// sit below DefaultBatchSites), so the 0-alloc contract covers
+		// the staged batch dispatch too.
 		{"soa-batched", EngineConfig{Subst: model.GTR}},
-		{"aos-unbatched", EngineConfig{Subst: model.GTR, DisableSoA: true, BatchSites: -1}},
+		{"unbatched", EngineConfig{Subst: model.GTR, BatchSites: -1}},
 	}
 	for _, het := range []model.Heterogeneity{model.Gamma, model.PSR} {
 		for _, tc := range configs {

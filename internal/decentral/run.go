@@ -32,8 +32,7 @@ type RunConfig struct {
 	// (docs/OBSERVABILITY.md). The collector must have been built for
 	// at least Ranks ranks; nil disables instrumentation entirely.
 	Telemetry *telemetry.Collector
-	// DisableSoA and BatchSites mirror EngineConfig.
-	DisableSoA bool
+	// BatchSites mirrors EngineConfig.
 	BatchSites int
 }
 
@@ -63,7 +62,6 @@ func runRank(c *mpi.Comm, d *msa.Dataset, assign *distrib.Assignment, cfg RunCon
 		HybridRanksPerNode:   cfg.HybridRanksPerNode,
 		Threads:              cfg.Threads,
 		Recorder:             rec,
-		DisableSoA:           cfg.DisableSoA,
 		BatchSites:           cfg.BatchSites,
 	})
 	if err != nil {

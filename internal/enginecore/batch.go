@@ -1,7 +1,6 @@
 package enginecore
 
 import (
-	"repro/internal/likelihood"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/traversal"
@@ -49,19 +48,6 @@ const (
 	batchSiteRates
 )
 
-// SetLayout switches every local kernel between the SoA (default) and
-// AoS CLV layouts — the -no-soa ablation. Live CLVs are transposed in
-// place, so the toggle is valid mid-run and bit-identical either way.
-func (l *Local) SetLayout(soa bool) {
-	lay := likelihood.LayoutAoS
-	if soa {
-		lay = likelihood.LayoutSoA
-	}
-	for _, k := range l.Kernels {
-		k.SetLayout(lay)
-	}
-}
-
 // SetBatchSites configures fused small-partition batching: local
 // kernels with fewer than n patterns are detached from the worker pool
 // and dispatched together as one pool call per likelihood operation.
@@ -91,12 +77,10 @@ func (l *Local) SetBatchSites(n int) {
 // BatchSites reports the configured fusion threshold.
 func (l *Local) BatchSites() int { return l.batchSites }
 
-// ConfigurePerf applies the engine configs' shared layout/batching
-// ablation knobs: disableSoA switches every kernel to the AoS layout
-// (-no-soa); batchSites 0 keeps the default fusion threshold, negative
-// disables batching (-batch-sites 0).
-func (l *Local) ConfigurePerf(disableSoA bool, batchSites int) {
-	l.SetLayout(!disableSoA)
+// ConfigurePerf applies the engine configs' batching knob: batchSites 0
+// keeps the default fusion threshold, negative disables batching
+// (-batch-sites 0).
+func (l *Local) ConfigurePerf(batchSites int) {
 	if batchSites != 0 {
 		if batchSites < 0 {
 			batchSites = 0

@@ -59,10 +59,6 @@ type EngineConfig struct {
 	// (kernel and collective timing; docs/OBSERVABILITY.md). It never
 	// affects results.
 	Recorder *telemetry.Recorder
-	// DisableSoA switches the likelihood kernels from the default SoA
-	// (structure-of-arrays) CLV layout back to AoS (docs/PERFORMANCE.md
-	// §6). Ablation only: results are bit-identical either way.
-	DisableSoA bool
 	// BatchSites sets the fused small-partition batching threshold in
 	// patterns: local kernels below it are dispatched together as one
 	// pool call per likelihood operation. 0 keeps the default
@@ -104,23 +100,18 @@ func NewMaster(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, cfg Engine
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
+	local.ConfigurePerf(cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	return &Engine{comm: comm, local: local}, nil
 }
 
-// SetLayout switches the MASTER's kernels between the SoA (true) and
-// AoS (false) CLV layouts mid-run. Workers keep their configured
-// layout — there is deliberately no layout opcode in the command
-// protocol, because the layout contract (docs/DETERMINISM.md §7)
-// guarantees master and workers produce identical bits even when their
-// layouts differ; a mid-run master toggle therefore exercises exactly
-// that heterogeneous-layout property.
-func (e *Engine) SetLayout(soa bool) { e.local.SetLayout(soa) }
-
-// SetBatchSites reconfigures the master's fused small-partition
+// SetBatchSites reconfigures the MASTER's fused small-partition
 // batching threshold mid-run (0 disables). Workers keep their
-// configured threshold; bit-identity holds regardless.
+// configured threshold — there is deliberately no batching opcode in
+// the command protocol, because the batching contract
+// (docs/DETERMINISM.md §7) guarantees master and workers produce
+// identical bits even when their thresholds differ; a mid-run master
+// toggle therefore exercises exactly that heterogeneous property.
 func (e *Engine) SetBatchSites(n int) { e.local.SetBatchSites(n) }
 
 // command broadcasts the opcode (control traffic).
@@ -445,7 +436,7 @@ func RunWorkerWithStats(comm *mpi.Comm, d *msa.Dataset, a *distrib.Assignment, c
 		return nil, err
 	}
 	local.SetRecorder(cfg.Recorder)
-	local.ConfigurePerf(cfg.DisableSoA, cfg.BatchSites)
+	local.ConfigurePerf(cfg.BatchSites)
 	comm.SetRecorder(cfg.Recorder)
 	defer local.Close()
 	if err := runWorkerLoop(comm, local); err != nil {

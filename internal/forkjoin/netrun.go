@@ -56,7 +56,6 @@ func RunOnComm(c *mpi.Comm, d *msa.Dataset, cfg RunConfig) (res *search.Result, 
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
 		Threads:              cfg.Threads,
 		Recorder:             rec,
-		DisableSoA:           cfg.DisableSoA,
 		BatchSites:           cfg.BatchSites,
 	}
 

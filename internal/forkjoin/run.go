@@ -27,8 +27,7 @@ type RunConfig struct {
 	// kernel/collective span timing and search-progress counters
 	// (docs/OBSERVABILITY.md). nil disables instrumentation entirely.
 	Telemetry *telemetry.Collector
-	// DisableSoA and BatchSites mirror EngineConfig.
-	DisableSoA bool
+	// BatchSites mirrors EngineConfig.
 	BatchSites int
 }
 
@@ -66,7 +65,6 @@ func Run(d *msa.Dataset, cfg RunConfig) (*search.Result, *RunStats, error) {
 		Subst:                cfg.Search.Subst,
 		PerPartitionBranches: cfg.Search.PerPartitionBranches,
 		Threads:              cfg.Threads,
-		DisableSoA:           cfg.DisableSoA,
 		BatchSites:           cfg.BatchSites,
 	}
 

@@ -7,8 +7,8 @@ package likelihood
 // machinery), and the steady-state hot path must run allocation-free
 // (docs/PERFORMANCE.md, asserted by testing.AllocsPerRun in the engine
 // packages). Instead, each kernel stages its per-call operands in k.ra
-// and dispatches on an opcode; the block workers themselves (gamma.go,
-// psr.go) are unchanged, so the computed bits are exactly those of the
+// and dispatches on an opcode; the block workers themselves are
+// unchanged, so the computed bits are exactly those of the
 // direct-closure formulation.
 
 // runOp selects the staged block operation.
@@ -68,109 +68,10 @@ func (k *Kernel) runBlocks(n int) {
 	k.pool.Run(n, k.blockFn)
 }
 
-// dispatchBlock executes one block of the staged operation. Under the
-// SoA layout, every CLV-touching opcode routes to its plane-major twin
-// (soa_gamma.go / soa_psr.go); opcodes that only read the (always-AoS)
-// sum table fall through to the shared cases.
+// dispatchBlock executes one block of the staged operation. The CLV
+// workers live in soa_gamma.go / soa_psr.go; the derivative workers,
+// which only read the sum table, in gamma.go / psr.go.
 func (k *Kernel) dispatchBlock(blk, lo, hi int) {
-	if k.layout == LayoutSoA && k.dispatchBlockSoA(blk, lo, hi) {
-		return
-	}
-	ra := &k.ra
-	switch ra.op {
-	case opNvGammaTipTip:
-		k.newviewGammaTipTipBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pair, &k.pairScaleScr, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opNvGammaTipInner:
-		k.newviewGammaTipInnerBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opNvGammaInner:
-		k.newviewGammaBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opEvalGamma:
-		ra.parts[blk].lnL = k.evaluateGammaBlock(ra.oa, ra.ob, ra.pa, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opEvalGammaTip:
-		ra.parts[blk].lnL = k.evaluateGammaTipBlock(ra.oa, ra.ob, ra.tabB, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opPrepGamma:
-		k.prepareGammaBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opPrepGammaFast:
-		k.prepareGammaFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opDerivGamma:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = int64(hi-lo) * gammaCats
-
-	case opNvPSRFast:
-		k.newviewPSRFastBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opNvPSRInner:
-		k.newviewPSRBlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.pa, ra.pb, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opEvalPSR:
-		ra.parts[blk].lnL = k.evaluatePSRBlock(ra.oa, ra.ob, ra.pa, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opEvalPSRTip:
-		ra.parts[blk].lnL = k.evaluatePSRTipBlock(ra.oa, ra.ob, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opPrepPSR:
-		k.preparePSRBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opPrepPSRFast:
-		k.preparePSRFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opDerivPSR:
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = int64(hi - lo)
-
-	case opGradGamma:
-		// Fused all-branch gradient (gradient.go): prepare this block's
-		// sum-table range with the existing worker, then immediately
-		// consume it with the existing derivative worker. The range is
-		// written and read by the same goroutine, so the fusion is
-		// race-free and the bits match the two-pass oracle exactly.
-		k.prepareGammaBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
-
-	case opGradGammaFast:
-		k.prepareGammaFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
-
-	case opGradPSR:
-		k.preparePSRBlock(ra.oa, ra.ob, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
-
-	case opGradPSRFast:
-		k.preparePSRFastBlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
-		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
-		ra.parts[blk].cols = 2 * int64(hi-lo)
-	}
-}
-
-// dispatchBlockSoA executes one block of the staged operation with the
-// SoA workers, returning false for opcodes that never touch a CLV (the
-// derivative opcodes), which the shared AoS switch then handles. The
-// staging code in gamma.go/psr.go is layout-blind: the routing decision
-// lives entirely here.
-func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 	ra := &k.ra
 	switch ra.op {
 	case opNvGammaTipTip:
@@ -201,6 +102,10 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		k.prepareGammaFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].cols = int64(hi-lo) * gammaCats
 
+	case opDerivGamma:
+		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
+		ra.parts[blk].cols = int64(hi-lo) * gammaCats
+
 	case opNvPSRFast:
 		k.newviewPSRFastSoABlock(ra.dclv, ra.dscale, ra.oa, ra.ob, ra.tabA, ra.tabB, ra.pa, ra.pb, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
@@ -225,7 +130,16 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].cols = int64(hi - lo)
 
+	case opDerivPSR:
+		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
+		ra.parts[blk].cols = int64(hi - lo)
+
 	case opGradGamma:
+		// Fused all-branch gradient (gradient.go): prepare this block's
+		// sum-table range with the existing worker, then immediately
+		// consume it with the existing derivative worker. The range is
+		// written and read by the same goroutine, so the fusion is
+		// race-free and the bits match the two-pass oracle exactly.
 		k.prepareGammaSoABlock(ra.oa, ra.ob, lo, hi)
 		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesGammaBlock(ra.exG, ra.lamG, ra.catW, lo, hi)
 		ra.parts[blk].cols = 2 * int64(hi-lo) * gammaCats
@@ -244,11 +158,5 @@ func (k *Kernel) dispatchBlockSoA(blk, lo, hi int) bool {
 		k.preparePSRFastSoABlock(ra.oa, ra.ob, ra.tabA, ra.tabB, lo, hi)
 		ra.parts[blk].d1, ra.parts[blk].d2 = k.derivativesPSRBlock(ra.exP, ra.lamP, lo, hi)
 		ra.parts[blk].cols = 2 * int64(hi-lo)
-
-	default:
-		// opDerivGamma / opDerivPSR only read the sum table and are
-		// shared with the AoS switch.
-		return false
 	}
-	return true
 }

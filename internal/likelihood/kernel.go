@@ -71,19 +71,12 @@ type Kernel struct {
 	nPat   int
 	nInner int
 
-	// layout selects the CLV storage order (layout.go): LayoutSoA (the
-	// default) stores per-(category,state) site planes so the innermost
-	// kernel loops are stride-1 over patterns; LayoutAoS is the classic
-	// per-column order and serves as the ablation oracle (-no-soa).
-	layout Layout
-	// transScr is SetLayout's transposition scratch.
-	transScr []float64
-
-	// clv[slot] is nil until first computed. Layout (selected by k.layout):
-	//   AoS Γ:   [pattern][category][state] → ((i*C)+c)*4+x, C = GammaCategories
-	//   AoS PSR: [pattern][state]           → i*4+x (one category per site)
-	//   SoA Γ:   [category][state][pattern] → (c*4+x)*nPat+i
-	//   SoA PSR: [state][pattern]           → x*nPat+i
+	// clv[slot] is nil until first computed. Every CLV is stored
+	// plane-major (soa_gamma.go): each (category, state) pair owns a
+	// contiguous plane of nPat doubles, so the kernel loops stream
+	// stride-1 over patterns.
+	//   Γ:   [category][state][pattern] → (c*4+x)*nPat+i
+	//   PSR: [state][pattern]           → x*nPat+i
 	clv [][]float64
 	// scale[slot][pattern] counts scaling events accumulated in the
 	// subtree the CLV summarizes.
@@ -247,7 +240,6 @@ func NewKernel(data *msa.PartitionData, par *model.Params, nInner int) (*Kernel,
 		nInner: nInner,
 		clv:    make([][]float64, nInner),
 		scale:  make([][]int32, nInner),
-		layout: LayoutSoA,
 		fastOn: true,
 		pcOn:   true,
 	}

@@ -6,27 +6,42 @@ import (
 	"repro/internal/threadpool"
 )
 
-// SoA Γ block workers (LayoutSoA, the default). Each worker is the
-// plane-major counterpart of one AoS worker in gamma.go: the outer loops
-// walk (category, state) planes, the innermost loop streams stride-1
-// over sites, and the 4-state cell is unrolled into straight-line code
-// with the P-matrix row hoisted into scalars — the autovectorizable
-// shape of BEAGLE's CPU kernels.
+// Γ block workers over the plane-major CLV layout.
 //
-// Bit-identity (docs/DETERMINISM.md §7): every value is computed by the
-// IDENTICAL expression (operands and association order) as its AoS
-// twin, per-site accumulators are added in the identical (category,
-// state) order via a per-site accumulator array, and the scaling
-// predicate is an order-independent OR over the column. Loop order over
-// independent values is free; everything order-sensitive is pinned.
+// A classic site-major CLV stores one pattern's whole column
+// contiguously: Γ columns are 16 doubles ([category][state]), so the
+// innermost site loop advances by 128 bytes per pattern and every
+// per-(category,state) operation is a gather. This kernel stores the
+// transpose (structure-of-arrays, SoA): each (category, state) pair owns
+// a contiguous *site plane* of nPat doubles. The outer loops walk
+// planes, the innermost loop streams stride-1 over sites, and the
+// 4-state cell is unrolled into straight-line code with the P-matrix row
+// hoisted into scalars — the autovectorizable shape of BEAGLE's CPU
+// kernels.
 //
-// Operand shapes that only occur with the tip fast path disabled (an
-// ablation configuration) fall back to site-major twins that use the
-// strided column loads from layout.go — still bit-identical, just not
-// stride-1.
+// Bit-identity (docs/DETERMINISM.md §2): every value is computed by the
+// classic per-site expression (same operands, same association order),
+// per-site accumulators are added in the per-site (category, state)
+// order via a per-site accumulator array, and the scaling predicate is
+// an order-independent OR over the column. Loop order over independent
+// values is free; everything order-sensitive is pinned. The serial
+// site-major oracle in sitemajor_test.go checks this bit for bit.
+//
+// Operand shapes that only occur with the tip fast path disabled fall
+// back to site-major workers that use the strided column loads of
+// soaColGamma — still bit-identical, just not stride-1.
+
+// soaColGamma loads the (site i, category c) state column of a Γ CLV:
+// a strided gather across four state planes. Loads never change value
+// bits.
+func soaColGamma(clv []float64, n, i, c int) [ns]float64 {
+	p := clv[(c*ns)*n:]
+	return [ns]float64{p[i], p[n+i], p[2*n+i], p[3*n+i]}
+}
 
 // newviewGammaSoABlock is the generic (inner-inner) SoA worker of
-// newviewGamma; tip operands (fast path off) take the site-major twin.
+// newviewGamma; tip operands (fast path off) take the site-major
+// worker.
 func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	if oa.tips != nil || ob.tips != nil {
 		k.newviewGammaSoASiteBlock(dclv, dscale, oa, ob, pa, pb, lo, hi)
@@ -34,9 +49,8 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 	}
 	n := k.nPat
 	// noScale[j] records that site lo+j produced at least one entry at
-	// or above ScaleThreshold (or a NaN) — the same predicate the AoS
-	// worker folds into needScale, an order-independent OR over the
-	// column's entries. Stack scratch: per-goroutine, so concurrent
+	// or above ScaleThreshold (or a NaN) — the per-site scaling
+	// predicate, an order-independent OR over the column's entries. Stack scratch: per-goroutine, so concurrent
 	// blocks never share it.
 	var noScale [threadpool.BlockSize]bool
 	for c := 0; c < gammaCats; c++ {
@@ -44,8 +58,8 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 		pcb := &pb[c]
 		// One fused sweep per category: each site's four child values per
 		// operand load once, and the four state outputs store to their
-		// planes in the same pass — the loop-order freedom the SoA layout
-		// buys (every expression below is the AoS worker's, verbatim).
+		// planes in the same pass — the loop-order freedom the plane
+		// layout buys (every expression below is the per-site one).
 		a0 := oa.clv[(c*ns+0)*n:]
 		a1 := oa.clv[(c*ns+1)*n:]
 		a2 := oa.clv[(c*ns+2)*n:]
@@ -84,8 +98,8 @@ func (k *Kernel) newviewGammaSoABlock(dclv []float64, dscale []int32, oa, ob ope
 // finishNewviewGammaSoA applies the per-site scaling decision and writes
 // the scale counts — the plane-major tail shared by the SoA Γ newview
 // workers. The conditional ScaleFactor multiply is per-entry independent,
-// so applying it in a separate plane pass yields the same bits as the
-// AoS worker's in-place column loop.
+// so applying it in a separate plane pass yields the same bits as an
+// in-place per-site column loop.
 func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []int32, noScale *[threadpool.BlockSize]bool, lo, hi int) {
 	n := k.nPat
 	anyScale := false
@@ -120,9 +134,9 @@ func (k *Kernel) finishNewviewGammaSoA(dclv []float64, dscale []int32, sa, sb []
 	}
 }
 
-// newviewGammaSoASiteBlock is the site-major generic twin for tip
-// operands without fast-path tables (ablation only): the AoS worker's
-// loop with strided column loads and stores.
+// newviewGammaSoASiteBlock is the site-major generic worker for tip
+// operands without fast-path tables (fast path off): the per-site loop
+// with strided column loads and stores.
 func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	for i := lo; i < hi; i++ {
@@ -170,7 +184,7 @@ func (k *Kernel) newviewGammaSoASiteBlock(dclv []float64, dscale []int32, oa, ob
 
 // newviewGammaTipInnerSoABlock is the mixed SoA worker: the tip side
 // gathers from the precomputed P·tipVec table, the inner side streams
-// its planes; la/lb/v keep the AoS expressions and product order.
+// its planes; la/lb/v keep the per-site expressions and product order.
 func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa, ob operand, tabA, tabB []float64, pa, pb [][ns * ns]float64, lo, hi int) {
 	n := k.nPat
 	var noScale [threadpool.BlockSize]bool
@@ -238,8 +252,9 @@ func (k *Kernel) newviewGammaTipInnerSoABlock(dclv []float64, dscale []int32, oa
 }
 
 // newviewGammaTipTipSoABlock materializes the pair-product table into
-// SoA planes: pure element moves of the same table entries the AoS
-// worker copies, so the bits match by construction.
+// the CLV planes: pure element moves of table entries that
+// fillPairTable computed with the per-site expressions, so the bits
+// match by construction.
 func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, ob operand, pair []float64, psc *[256]int32, lo, hi int) {
 	tipsA, tipsB := oa.tips, ob.tips
 	n := k.nPat
@@ -262,10 +277,10 @@ func (k *Kernel) newviewGammaTipTipSoABlock(dclv []float64, dscale []int32, oa, 
 }
 
 // evaluateGammaSoABlock is the generic SoA Evaluate worker: per-site
-// likelihoods accumulate in a per-site array in the AoS (category,
+// likelihoods accumulate in a per-site array in the per-site (category,
 // state) term order, so every site's sum carries the identical bits.
-// The q-tip shape only occurs with the fast path off; it reuses the
-// layout-aware per-site mirror.
+// The q-tip shape only occurs with the fast path off; it takes the
+// site-major evaluateGammaSiteLnl.
 func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, catW float64, lo, hi int) float64 {
 	if oq.tips != nil {
 		total := 0.0
@@ -315,13 +330,9 @@ func (k *Kernel) evaluateGammaSoABlock(op, oq operand, pm [][ns * ns]float64, ca
 	return total
 }
 
-// evaluateGammaTipSoABlock is the q-tip SoA Evaluate worker. A tip-tip
-// root edge reads no CLV at all, so the AoS worker is layout-blind
-// there and serves directly.
+// evaluateGammaTipSoABlock is the q-tip SoA Evaluate worker; a p-tip
+// (tip-tip root edge) reads its tip vectors instead of a CLV plane.
 func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW float64, lo, hi int) float64 {
-	if op.tips != nil {
-		return k.evaluateGammaTipBlock(op, oq, tab, catW, lo, hi)
-	}
 	freqs := &k.par.Freqs
 	n := k.nPat
 	tips := oq.tips
@@ -330,6 +341,12 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 		tbase := c * 16 * ns
 		for x := 0; x < ns; x++ {
 			freq := freqs[x]
+			if op.tips != nil {
+				for i := lo; i < hi; i++ {
+					site[i-lo] += freq * k.tipVec[op.tips[i]][x] * tab[tbase+int(tips[i])*ns+x] * catW
+				}
+				continue
+			}
 			px := op.clv[(c*ns+x)*n:]
 			for i := lo; i < hi; i++ {
 				site[i-lo] += freq * px[i] * tab[tbase+int(tips[i])*ns+x] * catW
@@ -350,9 +367,9 @@ func (k *Kernel) evaluateGammaTipSoABlock(op, oq operand, tab []float64, catW fl
 
 // prepareGammaSoABlock is the generic SoA sum-table fill. Sum-table
 // entries are mutually independent (the order-sensitive consumption
-// happens in the shared, layout-free derivative workers), so the
-// plane-major loop order is free; the ap/bq/product expressions are the
-// AoS ones verbatim. The table itself stays in AoS order.
+// happens in the derivative workers), so the plane-major loop order is
+// free; the ap/bq/product expressions are the per-site ones verbatim.
+// The table itself is site-major: [pattern][category][eigen].
 func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 	if op.tips != nil || oq.tips != nil {
 		k.prepareGammaSoASiteBlock(op, oq, lo, hi)
@@ -384,8 +401,8 @@ func (k *Kernel) prepareGammaSoABlock(op, oq operand, lo, hi int) {
 	}
 }
 
-// prepareGammaSoASiteBlock is the site-major generic twin for tip
-// operands without prep tables (ablation only).
+// prepareGammaSoASiteBlock is the site-major generic worker for tip
+// operands without prep tables (fast path off).
 func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
@@ -418,7 +435,7 @@ func (k *Kernel) prepareGammaSoASiteBlock(op, oq operand, lo, hi int) {
 // prepareGammaFastSoABlock is the tip-specialized SoA sum-table fill:
 // per (category, eigen) plane, the tip side gathers its prep-table
 // entries and the inner side streams its planes into per-site scratch,
-// then the ap·bq products land in the (AoS) sum table.
+// then the ap·bq products land in the site-major sum table.
 func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, lo, hi int) {
 	e := k.par.Eigen
 	freqs := &k.par.Freqs
@@ -468,30 +485,23 @@ func (k *Kernel) prepareGammaFastSoABlock(op, oq operand, tabP, tabQ []float64, 
 	}
 }
 
-// evaluateGammaSiteLnl mirrors one site of evaluateGammaBlock, reading
-// each operand in its own layout.
+// evaluateGammaSiteLnl is one site's log likelihood in the per-site
+// expression order, gathering CLV columns across the state planes.
 func (k *Kernel) evaluateGammaSiteLnl(op, oq operand, pm [][ns * ns]float64, catW float64, i int) float64 {
 	freqs := &k.par.Freqs
 	site := 0.0
-	base := i * gammaCats * ns
 	for c := 0; c < gammaCats; c++ {
 		pc := &pm[c]
 		var vp, vq [ns]float64
 		if op.tips != nil {
 			vp = k.tipVec[op.tips[i]]
-		} else if k.layout == LayoutSoA {
-			vp = soaColGamma(op.clv, k.nPat, i, c)
 		} else {
-			off := base + c*ns
-			vp[0], vp[1], vp[2], vp[3] = op.clv[off], op.clv[off+1], op.clv[off+2], op.clv[off+3]
+			vp = soaColGamma(op.clv, k.nPat, i, c)
 		}
 		if oq.tips != nil {
 			vq = k.tipVec[oq.tips[i]]
-		} else if k.layout == LayoutSoA {
-			vq = soaColGamma(oq.clv, k.nPat, i, c)
 		} else {
-			off := base + c*ns
-			vq[0], vq[1], vq[2], vq[3] = oq.clv[off], oq.clv[off+1], oq.clv[off+2], oq.clv[off+3]
+			vq = soaColGamma(oq.clv, k.nPat, i, c)
 		}
 		for x := 0; x < ns; x++ {
 			right := pc[x*ns]*vq[0] + pc[x*ns+1]*vq[1] + pc[x*ns+2]*vq[2] + pc[x*ns+3]*vq[3]

@@ -4,15 +4,16 @@ import (
 	"math"
 )
 
-// SoA PSR block workers. PSR CLVs hold one 4-vector per site, stored as
-// four state planes under LayoutSoA. The per-site rate category selects
+// PSR block workers over the plane-major CLV layout. PSR CLVs hold one
+// 4-vector per site, stored as four state planes. The per-site rate category selects
 // a different P matrix each site, so unlike Γ there is no loop-invariant
 // matrix row to hoist per plane; the workers instead walk sites once
 // while reading/writing four stride-1 state streams in parallel, with
 // the 4-state cell unrolled into straight-line code.
 //
-// Bit-identity: expressions and per-site accumulation order are the AoS
-// workers' (psr.go) verbatim; see soa_gamma.go for the argument shape.
+// Bit-identity: expressions and per-site accumulation order are the
+// classic per-site ones verbatim; see soa_gamma.go for the argument
+// shape.
 
 // newviewPSRSoABlock is the generic SoA worker of newviewPSR.
 func (k *Kernel) newviewPSRSoABlock(dclv []float64, dscale []int32, oa, ob operand, pa, pb [][ns * ns]float64, lo, hi int) {
@@ -142,8 +143,8 @@ func (k *Kernel) newviewPSRFastSoABlock(dclv []float64, dscale []int32, oa, ob o
 }
 
 // evaluatePSRSoABlock is the generic SoA Evaluate worker; the per-site
-// sum accumulates its four terms in ascending-state order exactly as
-// the AoS worker does.
+// sum accumulates its four terms in ascending-state order, the per-site
+// order.
 func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, hi int) float64 {
 	cats := k.par.SiteCats
 	freqs := &k.par.Freqs
@@ -190,19 +191,24 @@ func (k *Kernel) evaluatePSRSoABlock(op, oq operand, pm [][ns * ns]float64, lo, 
 	return total
 }
 
-// evaluatePSRTipSoABlock is the q-tip SoA Evaluate worker; a tip-tip
-// edge reads no CLV, so the AoS worker serves it unchanged.
+// evaluatePSRTipSoABlock is the q-tip SoA Evaluate worker; a p-tip
+// (tip-tip root edge) reads its tip vector instead of the state planes.
 func (k *Kernel) evaluatePSRTipSoABlock(op, oq operand, tab []float64, lo, hi int) float64 {
-	if op.tips != nil {
-		return k.evaluatePSRTipBlock(op, oq, tab, lo, hi)
-	}
 	cats := k.par.SiteCats
 	freqs := &k.par.Freqs
 	n := k.nPat
-	p0, p1, p2, p3 := op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
+	var p0, p1, p2, p3 []float64
+	if op.tips == nil {
+		p0, p1, p2, p3 = op.clv, op.clv[n:], op.clv[2*n:], op.clv[3*n:]
+	}
 	total := 0.0
 	for i := lo; i < hi; i++ {
-		vp := [ns]float64{p0[i], p1[i], p2[i], p3[i]}
+		var vp [ns]float64
+		if op.tips != nil {
+			vp = k.tipVec[op.tips[i]]
+		} else {
+			vp = [ns]float64{p0[i], p1[i], p2[i], p3[i]}
+		}
 		toff := (cats[i]*16 + int(oq.tips[i])) * ns
 		site := 0.0
 		site += freqs[0] * vp[0] * tab[toff]

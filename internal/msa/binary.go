@@ -110,7 +110,10 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 }
 
 // ReadBinary deserializes a dataset written by WriteBinary, verifying the
-// magic, version, and checksum.
+// magic, version, and checksum. Header counts are only upper bounds
+// until the data behind them has been read: every slice grows as its
+// entries arrive, so a short file claiming huge counts fails at EOF
+// after allocating no more than it actually contained.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -157,12 +160,13 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		return string(buf), nil
 	}
 
-	d := &Dataset{Names: make([]string, nTaxa)}
-	for i := range d.Names {
-		var err error
-		if d.Names[i], err = readString(); err != nil {
+	d := &Dataset{}
+	for i := 0; i < int(nTaxa); i++ {
+		name, err := readString()
+		if err != nil {
 			return nil, fmt.Errorf("msa: taxon name %d: %w", i, err)
 		}
+		d.Names = append(d.Names, name)
 	}
 	for pi := 0; pi < int(nParts); pi++ {
 		name, err := readString()
@@ -176,19 +180,21 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if np < 1 || np > 1<<30 {
 			return nil, fmt.Errorf("msa: partition %q: implausible pattern count %d", name, np)
 		}
-		pd := &PartitionData{Name: name, Weights: make([]int, np), Tips: make([][]State, nTaxa)}
+		pd := &PartitionData{Name: name}
 		for i := range pd.Freqs {
 			if err := binary.Read(cr, binary.LittleEndian, &pd.Freqs[i]); err != nil {
 				return nil, err
 			}
 		}
-		for i := range pd.Weights {
+		for i := 0; i < int(np); i++ {
 			var w uint32
 			if err := binary.Read(cr, binary.LittleEndian, &w); err != nil {
 				return nil, err
 			}
-			pd.Weights[i] = int(w)
+			pd.Weights = append(pd.Weights, int(w))
 		}
+		// The weights proved np: the row buffers below are a fraction of
+		// the bytes already read.
 		packed := make([]byte, (np+1)/2)
 		for t := 0; t < int(nTaxa); t++ {
 			if _, err := io.ReadFull(cr, packed); err != nil {
@@ -206,7 +212,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 					return nil, fmt.Errorf("msa: partition %q taxon %d pattern %d: zero state", name, t, j)
 				}
 			}
-			pd.Tips[t] = row
+			pd.Tips = append(pd.Tips, row)
 		}
 		d.Parts = append(d.Parts, pd)
 	}

@@ -2,8 +2,10 @@ package msa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -448,4 +450,82 @@ func TestBinaryDetectsCorruption(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(wrong)); err == nil {
 		t.Error("bad magic accepted")
 	}
+}
+
+// binaryHeader builds the start of a binary alignment: preamble, counts,
+// nTaxa empty taxon names, then one empty partition name and the
+// partition's pattern count.
+func binaryHeader(nTaxa, nParts, nPatterns uint32) []byte {
+	b := []byte(binaryMagic)
+	b = binary.LittleEndian.AppendUint32(b, binaryVersion)
+	b = binary.LittleEndian.AppendUint32(b, nTaxa)
+	b = binary.LittleEndian.AppendUint32(b, nParts)
+	for i := uint32(0); i < min(nTaxa, 3); i++ {
+		b = binary.LittleEndian.AppendUint32(b, 0)
+	}
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return binary.LittleEndian.AppendUint32(b, nPatterns)
+}
+
+// TestBinaryHugeHeaderCounts feeds ReadBinary short files whose headers
+// claim the largest counts it accepts. Each must fail at EOF without
+// allocating by the header's counts (a 2^30-pattern header used to
+// make an 8 GiB weight slice up front).
+func TestBinaryHugeHeaderCounts(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"patterns": binaryHeader(3, 1, 1<<30),
+		"taxa":     binaryHeader(1<<24, 1, 4),
+		"parts":    binaryHeader(3, 1<<24, 4),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated %d-byte file accepted", name, len(data))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: %d-byte file allocated %d bytes", name, len(data), alloc)
+		}
+	}
+}
+
+// FuzzReadBinary checks that no input crashes or exhausts the binary
+// reader and that every accepted dataset re-encodes stably. Crashers
+// found by fuzzing live in testdata/fuzz/FuzzReadBinary and are
+// replayed by plain `go test`.
+func FuzzReadBinary(f *testing.F) {
+	for _, seed := range []int64{3, 5} {
+		a := randomAlignment(4, 9, seed)
+		parts, _ := UniformPartitions(9, 2)
+		d, err := Compress(a, parts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, d); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteBinary(&first, d); err != nil {
+			t.Fatalf("decoded dataset does not encode: %v", err)
+		}
+		back, err := ReadBinary(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded dataset does not decode: %v", err)
+		}
+		if err := WriteBinary(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("dataset changed across a binary round trip")
+		}
+	})
 }

@@ -499,7 +499,7 @@ func quantizeBL(t float64) float64 {
 func (s *Searcher) SetBatchedGradients(on bool) { s.cfg.DisableBatchedGradients = !on }
 
 // Engine exposes the searcher's engine for runtime reconfiguration by
-// OnIteration hooks (e.g. the mid-run CLV-layout toggle of the layout
+// OnIteration hooks (e.g. the mid-run batching toggle of the batching
 // bit-identity suites — DETERMINISM.md §7). Callers type-assert the
 // optional capabilities they need; the Engine interface itself stays
 // minimal.

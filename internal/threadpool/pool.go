@@ -27,7 +27,7 @@ import (
 // It also happens to be a good cache size: one Γ block touches
 // 256 sites × 16 doubles × 3 CLVs ≈ 96 KiB — it streams through a
 // per-core L2 without thrashing L1, which is the granularity the
-// SoA stride-1 kernels are unrolled for (docs/PERFORMANCE.md §6).
+// stride-1 plane-major kernels are unrolled for (docs/PERFORMANCE.md §6).
 const BlockSize = 256
 
 // NumBlocks returns the number of fixed-size blocks covering n items.

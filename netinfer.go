@@ -127,7 +127,6 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 				HybridRanksPerNode: cfg.HybridRanksPerNode,
 				Threads:            cfg.Threads,
 				Telemetry:          collector,
-				DisableSoA:         cfg.DisableSoA,
 				BatchSites:         cfg.BatchSites,
 			},
 			MaxRecoveries: nc.MaxRecoveries,
@@ -161,7 +160,6 @@ func InferNet(d *Dataset, cfg Config, nc NetConfig) (*NetResult, error) {
 			Strategy:   strategyOf(cfg),
 			Threads:    cfg.Threads,
 			Telemetry:  collector,
-			DisableSoA: cfg.DisableSoA,
 			BatchSites: cfg.BatchSites,
 		})
 		if err != nil {
